@@ -1,7 +1,7 @@
 // perfbench — the repository's end-to-end benchmark harness.
 //
 //   perfbench --workload <name> --seed <n> --seconds <s> --trace <0|1>
-//             --rate <phase-A req/s> [--out <dir>]
+//             [--rate <open-loop req/s>] [--out <dir>]
 //
 // Runs one workload in this process and prints, as its last stdout line,
 // {"correct", "attempted", "failed", "metrics"}: the end-to-end metrics of

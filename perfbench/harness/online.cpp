@@ -6,8 +6,9 @@
 //   Phase A (deterministic): serve one interval, then run_rounds(1), for a
 //   fixed interval count. Runs twice per benchmark run, each on a fresh
 //   set-up; the served NRMSE and the promotion counts must agree exactly.
+//   Its push latencies are the workload's serve_p50_ms.
 //   Phase B: the background trainer runs while pushes arrive open loop at
-//   the frozen rate; its push latencies are the workload's serve_p50/p99.
+//   the frozen rate; a traced run attributes its push latencies.
 //
 // Threads: the serving thread (this one, the pool's calling slot), one pool
 // worker, the scheduler's stage thread and the trainer thread.
@@ -36,7 +37,7 @@ constexpr std::int64_t kWindow = 16;
 constexpr std::int64_t kTrainFrames = 240;
 constexpr int kPretrainSteps = 40;
 constexpr std::int64_t kStreamFrames = 240;
-constexpr int kPhaseAIntervals = 20;
+constexpr int kPhaseAIntervals = 45;
 constexpr double kMissMs = 20000;
 constexpr int kSetups = 3;  ///< set-ups timed per run (median reported)
 /// Fixed open-loop arrival jitter (the seed varies the cities and frames).
@@ -130,7 +131,7 @@ struct PhaseAResult {
   std::int64_t served = 0, attempted = 0;
   std::int64_t steps = 0, promoted = 0, rejected = 0, candidates = 0;
   double seconds = 0;
-  std::vector<double> round_ms, step_ms, ckpt_round_ms, promote_ms;
+  std::vector<double> push_ms, round_ms, step_ms, ckpt_round_ms, promote_ms;
 };
 
 PhaseAResult phase_a(OnlineRig& rig) {
@@ -141,8 +142,10 @@ PhaseAResult phase_a(OnlineRig& rig) {
   for (int i = 0; i < kPhaseAIntervals; ++i) {
     const Tensor& frame = rig.next_frame();
     ++r.attempted;
+    const auto p0 = Clock::now();
     const auto out = rig.push(frame);
     if (out) {
+      r.push_ms.push_back(seconds_between(p0, Clock::now()) * 1e3);
       ++r.served;
       nrmse_sum += mtsr::metrics::nrmse(*out, frame);
     }
@@ -270,7 +273,8 @@ void run_online_workload(const Args& args, Report& report, std::string& spans_cs
   if (a.served == 0) report.fail_gate("phase A served no frames");
 
   // Runs of one seed in one checkout must agree too.
-  const std::string record_path = args.out_dir + "/" + prefix + "-phaseA.txt";
+  const std::string record_path = args.out_dir + "/" + prefix + "-phaseA" +
+                                  std::to_string(kPhaseAIntervals) + ".txt";
   {
     std::ifstream in(record_path);
     std::string previous;
@@ -290,14 +294,14 @@ void run_online_workload(const Args& args, Report& report, std::string& spans_cs
                                ", \"promoted\": " + std::to_string(a.promoted) +
                                ", \"rejected\": " + std::to_string(a.rejected) +
                                ", \"nrmse\": " + json_number(a.nrmse) +
+                               ", \"push_ms\": " + json_list(a.push_ms) +
                                ", \"round_ms\": " + json_list(a.round_ms) + "}");
   const std::int64_t dropped_before = rig->trainer().stats().tap_dropped;
 
   if (!args.trace) {
-    // Phase B fills the measured time left after the two phase-A runs, with
-    // at least the 1010 samples a p99 needs.
+    // Phase B fills the measured time left after the two phase-A runs.
     const auto pushes = std::max<std::int64_t>(
-        1010, std::llround(args.rate * (args.seconds - 2 * a.seconds)));
+        std::llround(args.rate * 2), std::llround(args.rate * (args.seconds - 2 * a.seconds)));
     const PhaseBResult b = phase_b(*rig, args.rate, pushes, kArrivalTrace);
     report.phase("B", b.counts);
     const double peak_mb = peak_rss_mb();
@@ -318,8 +322,9 @@ void run_online_workload(const Args& args, Report& report, std::string& spans_cs
     for (int i = 2; i < kSetups; ++i) (void)timed_setup();
 
     report.metric("setup_s", median(setup_s), "s");
-    report.metric("serve_p50_ms", b.latency.quantile(0.5, kMissMs), "ms");
-    report.metric("serve_p99_ms", b.latency.quantile(0.99, kMissMs), "ms");
+    std::vector<double> push_ms = a.push_ms;
+    push_ms.insert(push_ms.end(), again.push_ms.begin(), again.push_ms.end());
+    report.metric("serve_p50_ms", median(push_ms), "ms");
     report.metric("serve_frames_per_s",
                   static_cast<double>(a.served + again.served) / (a.seconds + again.seconds),
                   "1/s");
@@ -329,6 +334,8 @@ void run_online_workload(const Args& args, Report& report, std::string& spans_cs
                   "{\"offered_req_per_s\": " + json_number(args.rate) +
                       ", \"seconds\": " + json_number(b.seconds) +
                       ", \"samples\": " + std::to_string(b.latency.count()) +
+                      ", \"p50_ms\": " + json_number(b.latency.quantile(0.5, kMissMs)) +
+                      ", \"p99_ms\": " + json_number(b.latency.quantile(0.99, kMissMs)) +
                       ", \"p99_samples_beyond\": " + std::to_string(b.latency.beyond(0.99)) +
                       ", \"bg_steps\": " + std::to_string(b.bg_steps) +
                       ", \"late_p99_ms\": " + json_number(quantile_of(b.lateness_ms, 0.99)) +

@@ -22,7 +22,7 @@ struct Args {
   std::uint64_t seed = 1;
   double seconds = 10;
   bool trace = false;
-  double rate = 0;        ///< frozen phase-A offered rate, req/s
+  double rate = 0;        ///< frozen open-loop offered rate, req/s
   std::string out_dir = ".bench_build/results";
 };
 
@@ -125,9 +125,7 @@ class Report {
 /// compact affinity policy, which puts its one dedicated worker on cpu 0;
 /// the serving thread (server loop, or the in-process pusher) takes cpu 1;
 /// the load generator's writer and reader, or the online trainer, take cpus
-/// 2 and 3. Unpinned, the run-to-run placement of these threads changed how
-/// a fan-out interval's pushes split into dispatch rounds, which moved the
-/// p50 by a third between runs.
+/// 2 and 3, so that every run places them alike.
 inline constexpr int kServingCpu = 1;
 inline constexpr int kWriterCpu = 2;
 inline constexpr int kReaderCpu = 3;

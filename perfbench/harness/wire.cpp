@@ -1,19 +1,21 @@
-// Wire workloads: sessions served through net::Server over one loopback
-// connection, with the benchmark driving the server's event loop.
+// wire-fanout-int8: one 100x100 city fanned out to 16 sessions tagged with
+// one stream, served by "zipnet-int8" through net::Server over one loopback
+// connection, with the benchmark driving the server's event loop. The dedup
+// memo serves 15 of each interval's 16 stitched inferences.
 //
-//   wire-distinct-float  8 distinct 40x40 cities, untagged sessions, float
-//                        "zipnet". Every session shares the training
-//                        normalisation, so the scheduler fuses their blocks.
-//   wire-fanout-int8     one 100x100 city fanned out to 16 sessions tagged
-//                        with one stream, "zipnet-int8": each interval's 16
-//                        pushes fall due together and the dedup memo serves
-//                        15 of the 16 stitched inferences.
+// The run is a closed loop of dispatch rounds: a round sends one interval to
+// all 16 sessions, the server loop drains it as one dispatch round once all
+// of it is parsed, and the next round starts when every answer is back.
+// Each push is timed from its send to its decoded response; throughput is
+// 16 frames per median round. The work of a round and its dedup hits are
+// the same in every run, and the host never idles between rounds. An open
+// loop at 24 req/s, which left the server idle between intervals, gave p50s
+// whose interquartile range over five seeds was 22% of the median on a
+// shared 4-vCPU VM, against 5-14% for these rounds.
 //
-// Phase A is open loop at the frozen rate (periodic_schedule), each push
-// timed from its due time; phase B is closed loop (one outstanding push per
-// session, or per interval for the fan-out). Threads: the server loop (the
-// pool's calling slot), one pool worker, the scheduler's stage thread, and
-// the client's writer (this thread) and reader.
+// Threads: the server loop (the pool's calling slot), one pool worker, the
+// scheduler's stage thread, and the client's writer (this thread) and
+// reader.
 #include <atomic>
 #include <cmath>
 #include <condition_variable>
@@ -46,40 +48,26 @@ constexpr std::uint64_t kWeightSeed = 29;
 constexpr std::int64_t kWindow = 20;
 constexpr std::int64_t kStride = 10;
 constexpr std::int64_t kFramesPerCity = 48;
-constexpr int kWarmupSends = 6;  ///< per group: S-1 warm-up + 4 inferences
+constexpr int kWarmupRounds = 6;  ///< S-1 warm-up rounds + 4 inferences
 constexpr double kResponseTimeoutS = 20;
-constexpr int kSampleEvery = 16;  ///< phase-A sends checked against control
-constexpr int kSetups = 3;  ///< set-ups timed per run (median reported)
-/// The open-loop arrival jitter is fixed per workload, like a recorded
-/// trace; the seed varies the cities and frames.
-constexpr std::uint64_t kArrivalTrace = 7001;
-/// Documented parity of fused float passes against a session served alone.
-constexpr double kFusedFloatTolerance = 1e-5;
+constexpr int kSampleEvery = 16;  ///< intervals checked against control
+constexpr int kSetups = 5;  ///< set-ups timed per run (median reported)
 
+/// Geometry of a wire workload: `cities` groups of `group_size` sessions,
+/// each group fed one city's frames.
 struct WireSpec {
   std::string model;     ///< registry name
-  bool int8 = false;
-  std::int64_t side = 40;
-  int cities = 8;        ///< distinct cities (one per group)
-  int group_size = 1;    ///< sessions fed together (fan-out consumers)
+  std::int64_t side = 0;
+  int cities = 0;        ///< distinct cities (one per group)
+  int group_size = 0;    ///< sessions fed together (fan-out consumers)
   std::string stream;    ///< dedup tag; empty = untagged
 };
 
 WireSpec spec_for(const std::string& workload) {
-  WireSpec s;
-  if (workload == "wire-distinct-float") {
-    s.model = "zipnet";
-  } else if (workload == "wire-fanout-int8") {
-    s.model = "zipnet-int8";
-    s.int8 = true;
-    s.side = 100;
-    s.cities = 1;
-    s.group_size = 16;
-    s.stream = "fanout-city";
-  } else {
+  if (workload != "wire-fanout-int8") {
     throw std::runtime_error("unknown wire workload " + workload);
   }
-  return s;
+  return {"zipnet-int8", 100, 1, 16, "fanout-city"};
 }
 
 /// Seeded inputs, generated once per run (not part of set-up time).
@@ -87,26 +75,21 @@ struct Inputs {
   std::vector<std::vector<Tensor>> city;  ///< [city][frame]
   mtsr::data::NormStats norm;
   bool log_transform = true;
-  std::vector<Tensor> calibration;  ///< int8 only
+  std::vector<Tensor> calibration;  ///< int8 quantisation batches
 };
 
 Inputs make_inputs(const WireSpec& spec, std::uint64_t seed) {
   Inputs in;
   const std::int64_t t0 = static_cast<std::int64_t>((seed * 37) % 1008);
-  const std::int64_t hotspots = spec.side >= 100 ? 60 : 30;
   for (int c = 0; c < spec.cities; ++c) {
-    in.city.push_back(city_frames(spec.side, hotspots, seed * 1000 + 17 * c, t0,
-                                  kFramesPerCity));
+    in.city.push_back(city_frames(spec.side, 60, seed * 1000 + 17 * c, t0, kFramesPerCity));
   }
   const mtsr::data::TrafficDataset reference(in.city[0], 10);
   in.norm = reference.stats();
   in.log_transform = reference.log_transform();
-  if (spec.int8) {
-    const auto layout = mtsr::data::make_layout(mtsr::data::MtsrInstance::kUp4,
-                                                kWindow, kWindow);
-    in.calibration = serving::calibration_batches(reference, *layout, 3,
-                                                  kWindow, 4);
-  }
+  const auto layout = mtsr::data::make_layout(mtsr::data::MtsrInstance::kUp4,
+                                              kWindow, kWindow);
+  in.calibration = serving::calibration_batches(reference, *layout, 3, kWindow, 4);
   return in;
 }
 
@@ -139,14 +122,8 @@ struct Sample {
 struct PhaseResult {
   PhaseCounts counts;
   LatencySet latency;
-  std::vector<double> lateness_ms;
-  /// Frames delivered by the end of the phase window, and the time of the
-  /// last of them: throughput counts whole deliveries, so a window that
-  /// closes mid-interval does not round it.
-  std::int64_t delivered_in_window = 0;
-  std::int64_t last_delivery_ns = 0;
-  /// Closed loop: send-to-last-answer time of every completed group send.
-  std::vector<double> cycle_ms;
+  /// Send-to-last-answer time of every round.
+  std::vector<double> round_ms;
   double seconds = 0;
   std::int64_t start_ns = 0, end_ns = 0;
 };
@@ -158,13 +135,7 @@ class WireRig {
   WireRig(const WireSpec& spec, const Inputs& inputs) : spec_(spec), inputs_(inputs) {
     auto generator = seeded_generator(serving_zipnet_config(), kWeightSeed);
     flop_per_window_ = perfbench::flop_per_window(*generator, kWindow / 4);
-    if (spec_.int8) {
-      inner_ = serving::quantize_generator(*generator, inputs_.calibration,
-                                           spec_.model);
-    } else {
-      inner_ = std::make_shared<serving::ZipNetModel>(std::move(generator),
-                                                      spec_.model);
-    }
+    inner_ = serving::quantize_generator(*generator, inputs_.calibration, spec_.model);
     engine_ = std::make_unique<serving::Engine>();
     engine_->register_model(spec_.model, std::make_shared<TracedModel>(inner_));
     net::ServerConfig config;
@@ -184,100 +155,42 @@ class WireRig {
   WireRig(const WireRig&) = delete;
   WireRig& operator=(const WireRig&) = delete;
 
-  /// `sends` open-loop group sends at `sends_per_s`. A fixed count, not a
-  /// fixed duration, keeps the p99 sample size the same in every run.
-  PhaseResult open_loop(double sends_per_s, std::int64_t sends, std::uint64_t seed) {
-    const std::vector<double> at = periodic_schedule(sends_per_s, sends, seed);
-    const double seconds = at.empty() ? 0.0 : at.back();
-    begin_phase();
-    PhaseResult r;
-    r.start_ns = trace::now_ns();
-    const auto start = Clock::now();
-    int next_group = 0;
-    for (const double t : at) {
-      const auto due = start + std::chrono::duration_cast<Clock::duration>(
-                                   std::chrono::duration<double>(t));
-      std::this_thread::sleep_until(due);
-      const std::int64_t due_ns = r.start_ns + static_cast<std::int64_t>(t * 1e9);
-      send_group(next_group, due_ns, /*sample=*/true);
-      next_group = (next_group + 1) % spec_.cities;
-    }
-    r.end_ns = r.start_ns + static_cast<std::int64_t>(seconds * 1e9);
-    finish_phase(r);
-    std::printf("open loop: %lld pushes in %.3f s, p50 %.3f ms, p99 %.3f ms\n",
-                static_cast<long long>(r.counts.attempted), seconds,
-                r.latency.quantile(0.5, kResponseTimeoutS * 1e3),
-                r.latency.quantile(0.99, kResponseTimeoutS * 1e3));
-    return r;
-  }
-
-  /// Closed loop: each group keeps one send outstanding. Runs for `seconds`
-  /// (when > 0) or for `sends_per_group` sends of every group.
-  PhaseResult closed_loop(double seconds, int sends_per_group) {
+  /// Closed loop of dispatch rounds. Each round sends every group's next
+  /// interval, which the server loop holds until all of the round's pushes
+  /// are parsed and then drains as one dispatch round; the next round starts
+  /// when every answer is back. Runs for `seconds` (when > 0) or `rounds`
+  /// rounds. With `sample`, every kSampleEvery-th interval of a group keeps
+  /// its first frame for the correctness gate.
+  PhaseResult closed_loop(double seconds, int rounds, bool sample) {
     begin_phase();
     PhaseResult r;
     r.start_ns = trace::now_ns();
     const std::int64_t end_ns = r.start_ns + static_cast<std::int64_t>(seconds * 1e9);
-    std::vector<int> remaining(static_cast<std::size_t>(spec_.cities), sends_per_group);
-    {
+    for (int n = 0; seconds > 0 ? trace::now_ns() < end_ns : n < rounds; ++n) {
+      const std::int64_t sent_ns = trace::now_ns();
+      for (int g = 0; g < spec_.cities; ++g) send_group(g, sent_ns, sample);
+      if (!wait_answered()) break;  // finish_phase reports the timeout
       std::lock_guard<std::mutex> lock(mu_);
-      for (int g = 0; g < spec_.cities; ++g) free_groups_.push_back(g);
-    }
-    for (;;) {
-      int g = -1;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        const auto pick = [&] {
-          for (auto it = free_groups_.begin(); it != free_groups_.end(); ++it) {
-            if (seconds > 0 || remaining[static_cast<std::size_t>(*it)] > 0) {
-              g = *it;
-              free_groups_.erase(it);
-              return true;
-            }
-          }
-          return false;
-        };
-        const auto done = [&] {
-          if (seconds > 0) return trace::now_ns() >= end_ns;
-          for (const int n : remaining) {
-            if (n > 0) return false;
-          }
-          return true;
-        };
-        while (!done() && !pick()) {
-          cv_.wait_for(lock, std::chrono::milliseconds(5));
-        }
-        if (g < 0) break;
+      std::int64_t done_ns = sent_ns;
+      for (std::size_t i = sends_.size() - static_cast<std::size_t>(spec_.cities);
+           i < sends_.size(); ++i) {
+        done_ns = std::max(done_ns, sends_[i].done_ns);
       }
-      --remaining[static_cast<std::size_t>(g)];
-      send_group(g, trace::now_ns(), /*sample=*/false);
+      r.round_ms.push_back(static_cast<double>(done_ns - sent_ns) / 1e6);
     }
-    r.end_ns = seconds > 0 ? end_ns : trace::now_ns();
+    r.end_ns = trace::now_ns();
     finish_phase(r);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      free_groups_.clear();
-    }
     return r;
   }
 
-  /// One interval for every session, drained as a single dispatch round
-  /// (the loop holds the queue until all pushes are parsed). Returns the
-  /// frames in session order, with each group's ordinal.
+  /// One round of every group whose frames are all kept. Returns them in
+  /// session order, with each group's ordinal.
   std::vector<Sample> gate_round(PhaseCounts& counts) {
-    const int sessions = static_cast<int>(session_ids_.size());
-    drain_at_.store(sessions);
-    begin_phase();
     {
       std::lock_guard<std::mutex> lock(mu_);
       collect_all_ = true;
     }
-    for (int g = 0; g < spec_.cities; ++g) send_group(g, trace::now_ns(), false);
-    PhaseResult r;
-    r.start_ns = trace::now_ns();
-    finish_phase(r);
-    drain_at_.store(1);
-    counts = r.counts;
+    counts = closed_loop(0, 1, /*sample=*/false).counts;
     std::vector<Sample> out;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -289,7 +202,7 @@ class WireRig {
     return out;
   }
 
-  /// Samples kept by the last open-loop phases (moved out).
+  /// Samples kept by the last sampled phases (moved out).
   std::vector<Sample> take_samples() {
     std::vector<Sample> out;
     std::lock_guard<std::mutex> lock(mu_);
@@ -357,7 +270,7 @@ class WireRig {
     next_ordinal_.assign(static_cast<std::size_t>(spec_.cities), 0);
     reader_ = std::thread([this] { read_loop(); });
 
-    const PhaseResult warm = closed_loop(0, kWarmupSends);
+    const PhaseResult warm = closed_loop(0, kWarmupRounds, /*sample=*/false);
     if (warm.counts.failed() > 0) throw std::runtime_error("warm-up pushes failed");
   }
 
@@ -371,8 +284,10 @@ class WireRig {
     engine_.reset();
   }
 
+  /// The server loop: polls, and drains once a whole round is parsed.
   void loop() {
     pin_current_thread(kServingCpu);
+    const std::int64_t round_pushes = spec_.cities * spec_.group_size;
     while (!loop_stop_.load()) {
       std::deque<std::packaged_task<void()>> tasks;
       {
@@ -384,7 +299,7 @@ class WireRig {
         trace::Scope span("net.poll");
         server_->poll_once(2);
       }
-      if (server_->front_door_stats().queue_depth >= drain_at_.load()) {
+      if (server_->front_door_stats().queue_depth >= round_pushes) {
         trace::Scope span("net.drain");
         server_->drain();
       }
@@ -393,7 +308,6 @@ class WireRig {
 
   void begin_phase() {
     std::lock_guard<std::mutex> lock(mu_);
-    free_groups_.clear();
     pushes_.clear();
     sends_.clear();
     answered_ = 0;
@@ -486,24 +400,29 @@ class WireRig {
     if (--send.pending == 0) {
       send.done_ns = now;
       send.first = Tensor();
-      free_groups_.push_back(send.group);
     }
     cv_.notify_all();
   }
 
-  /// Waits for every push of the phase, then fills counts and latencies.
-  void finish_phase(PhaseResult& r) {
+  /// Waits up to kResponseTimeoutS for an answer to every push sent so far;
+  /// false on a timeout or a read error.
+  bool wait_answered() {
     std::unique_lock<std::mutex> lock(mu_);
     const auto deadline = Clock::now() + std::chrono::duration_cast<Clock::duration>(
                                              std::chrono::duration<double>(kResponseTimeoutS));
-    cv_.wait_until(lock, deadline, [&] {
+    return cv_.wait_until(lock, deadline, [&] {
       return answered_ == static_cast<std::int64_t>(pushes_.size()) || !read_error_.empty();
-    });
+    }) && read_error_.empty();
+  }
+
+  /// Waits for every push of the phase, then fills counts and latencies.
+  void finish_phase(PhaseResult& r) {
+    (void)wait_answered();
+    std::lock_guard<std::mutex> lock(mu_);
     if (!read_error_.empty()) throw std::runtime_error("client: " + read_error_);
     r.seconds = static_cast<double>(r.end_ns - r.start_ns) / 1e9;
     for (const PushRec& p : pushes_) {
       ++r.counts.attempted;
-      r.lateness_ms.push_back(static_cast<double>(p.sent_ns - p.due_ns) / 1e6);
       if (!p.answered) {
         ++r.counts.timed_out;
         r.latency.add_miss();
@@ -513,10 +432,6 @@ class WireRig {
         case net::Status::kOk:
           ++r.counts.served;
           r.latency.add(static_cast<double>(p.done_ns - p.due_ns) / 1e6);
-          if (p.done_ns <= r.end_ns) {
-            ++r.delivered_in_window;
-            r.last_delivery_ns = std::max(r.last_delivery_ns, p.done_ns);
-          }
           break;
         case net::Status::kWarmup:
           ++r.counts.warmup;
@@ -531,9 +446,6 @@ class WireRig {
           r.latency.add_miss();
           break;
       }
-    }
-    for (const SendRec& send : sends_) {
-      if (send.pending == 0) r.cycle_ms.push_back(static_cast<double>(send.done_ns - send.sent_ns) / 1e6);
     }
     if (r.counts.timed_out > 0) {
       // Late answers would be matched to the next phase's pushes.
@@ -555,14 +467,12 @@ class WireRig {
   std::mutex task_mu_;
   std::deque<std::packaged_task<void()>> tasks_;
   std::atomic<bool> loop_stop_{false};
-  std::atomic<int> drain_at_{1};
 
   std::mutex mu_;  ///< guards everything below
   std::condition_variable cv_;
   std::vector<PushRec> pushes_;
   std::vector<SendRec> sends_;
   std::vector<std::deque<std::size_t>> outstanding_;
-  std::deque<int> free_groups_;
   std::vector<Sample> samples_;
   std::int64_t answered_ = 0;
   std::int64_t fanout_mismatch_ = 0;
@@ -677,32 +587,28 @@ std::pair<double, double> codec_us(const Tensor& frame) {
   return {median(enc), median(dec)};
 }
 
-std::string phase_json(const PhaseResult& r, double rate) {
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "{\"offered_req_per_s\": %s, \"seconds\": %s, \"samples\": %lld, "
-                "\"p50_ms\": %s, \"p99_ms\": %s, \"p99_samples_beyond\": %lld, "
-                "\"late_p99_ms\": %s}",
-                json_number(rate).c_str(), json_number(r.seconds).c_str(),
-                static_cast<long long>(r.latency.count()),
-                json_number(r.latency.quantile(0.5, kResponseTimeoutS * 1e3)).c_str(),
-                json_number(r.latency.quantile(0.99, kResponseTimeoutS * 1e3)).c_str(),
-                static_cast<long long>(r.latency.beyond(0.99)),
-                json_number(quantile_of(r.lateness_ms, 0.99)).c_str());
-  return buf;
+std::string phase_json(const PhaseResult& r) {
+  const double miss_ms = kResponseTimeoutS * 1e3;
+  return "{\"seconds\": " + json_number(r.seconds) +
+         ", \"samples\": " + std::to_string(r.latency.count()) +
+         ", \"p50_ms\": " + json_number(r.latency.quantile(0.5, miss_ms)) +
+         ", \"p99_ms\": " + json_number(r.latency.quantile(0.99, miss_ms)) +
+         ", \"p99_samples_beyond\": " + std::to_string(r.latency.beyond(0.99)) +
+         ", \"frames_per_s\": " +
+         json_number(static_cast<double>(r.counts.served) / r.seconds) +
+         ", \"rounds\": " + std::to_string(r.round_ms.size()) +
+         ", \"median_round_ms\": " + json_number(median(r.round_ms)) + "}";
 }
 
 }  // namespace
 
 void run_wire_workload(const Args& args, Report& report, std::string& spans_csv) {
   const WireSpec spec = spec_for(args.workload);
-  if (!(args.rate > 0)) throw std::runtime_error("--rate (phase-A req/s) is required");
   const Inputs inputs = make_inputs(spec, args.seed);
-  const double sends_per_s = args.rate / spec.group_size;
   pin_current_thread(kWriterCpu);  // this thread writes the pushes
 
   // Set-up is timed several times. The first instance serves the measured
-  // phases; the others are built after peak memory has been read, only for
+  // rounds; the others are built after peak memory has been read, only for
   // the set-up median.
   std::vector<double> setup_s;
   const auto timed_setup = [&] {
@@ -714,69 +620,37 @@ void run_wire_workload(const Args& args, Report& report, std::string& spans_csv)
   };
   std::unique_ptr<WireRig> rig = timed_setup();
 
-  // Phase A is a fixed count of arrivals worth 95% of the measured time, so
-  // that it holds the 1000 samples a p99 needs; phase B, whose throughput
-  // comes from the median cycle, the rest. A traced run splits phase A into
-  // an untraced and a traced half.
-  const auto sends_for = [&](double seconds) {
-    return static_cast<std::int64_t>(std::llround(sends_per_s * seconds));
-  };
+  // A traced run measures half its time untraced and half traced.
   std::vector<Sample> timed_samples;
   const double miss_ms = kResponseTimeoutS * 1e3;
   if (!args.trace) {
-    const PhaseResult a =
-        rig->open_loop(sends_per_s, sends_for(0.95 * args.seconds), kArrivalTrace);
-    report.phase("A", a.counts);
+    const PhaseResult a = rig->closed_loop(args.seconds, 0, /*sample=*/true);
+    report.phase("rounds", a.counts);
     timed_samples = rig->take_samples();
-    const PhaseResult b = rig->closed_loop(0.05 * args.seconds, 0);
-    report.phase("B", b.counts);
-    if (a.latency.beyond(0.99) < 10) {
-      throw std::runtime_error("phase A has too few samples for p99; raise --seconds");
-    }
     report.metric("serve_p50_ms", a.latency.quantile(0.5, miss_ms), "ms");
-    report.metric("serve_p99_ms", a.latency.quantile(0.99, miss_ms), "ms");
-    // Little's law over the closed loop: every session keeps one push in
-    // flight, so frames/s = sessions / cycle time. The median cycle keeps a
-    // short stall of the host from reading as lost capacity.
-    const double b_seconds = static_cast<double>(b.last_delivery_ns - b.start_ns) / 1e9;
+    // Every session gets one frame per round; the median round keeps a
+    // stall of the host from reading as lost capacity.
     report.metric("serve_frames_per_s",
-                  1e3 * static_cast<double>(spec.cities * spec.group_size) / median(b.cycle_ms),
-                  "1/s");
-    report.detail("phase_A", phase_json(a, args.rate));
-    report.detail("phase_B", "{\"seconds\": " + json_number(b_seconds) +
-                                 ", \"delivered\": " +
-                                 std::to_string(b.delivered_in_window) +
-                                 ", \"delivered_per_s\": " +
-                                 json_number(static_cast<double>(b.delivered_in_window) / b_seconds) +
-                                 ", \"cycles\": " + std::to_string(b.cycle_ms.size()) +
-                                 ", \"median_cycle_ms\": " + json_number(median(b.cycle_ms)) + "}");
+                  1e3 * spec.cities * spec.group_size / median(a.round_ms), "1/s");
+    report.detail("rounds", phase_json(a));
   } else {
     zero_per_layer(report);
-    const std::int64_t per_phase = sends_for(0.45 * args.seconds);
-    const PhaseResult base = rig->open_loop(sends_per_s, per_phase, kArrivalTrace);
-    report.phase("A-untraced", base.counts);
+    const PhaseResult base = rig->closed_loop(args.seconds / 2, 0, /*sample=*/true);
+    report.phase("rounds-untraced", base.counts);
     timed_samples = rig->take_samples();
 
     const auto s0 = rig->stats();
     trace::set_enabled(true);
-    const PhaseResult a = rig->open_loop(sends_per_s, per_phase, kArrivalTrace);
+    const PhaseResult a = rig->closed_loop(args.seconds / 2, 0, /*sample=*/false);
     trace::set_enabled(false);
     const auto s1 = rig->stats();
     const auto spans_a = trace::collect();
-    report.phase("A-traced", a.counts);
-    (void)rig->take_samples();
-    trace::set_enabled(true);
-    const PhaseResult b = rig->closed_loop(0.1 * args.seconds, 0);
-    trace::set_enabled(false);
-    const auto s2 = rig->stats();
-    const auto spans_b = trace::collect();
-    report.phase("B-traced", b.counts);
-    trace::append_csv(spans_csv, "A", spans_a);
-    trace::append_csv(spans_csv, "B", spans_b);
+    report.phase("rounds-traced", a.counts);
+    trace::append_csv(spans_csv, "rounds", spans_a);
 
     const double p50_untraced = base.latency.quantile(0.5, miss_ms);
     const double p50_traced = a.latency.quantile(0.5, miss_ms);
-    const auto& fd = *s2.front_door;
+    const auto& fd = *s1.front_door;
     report.metric("net.server_p50_ms", fd.p50_ms, "ms");
     report.metric("net.wire_p50_ms", p50_traced - fd.p50_ms, "ms");
     const auto [enc, dec] = codec_us(inputs.city[0][0]);
@@ -791,10 +665,7 @@ void run_wire_workload(const Args& args, Report& report, std::string& spans_csv)
                   "B");
     report.metric("net.max_queue_depth", static_cast<double>(fd.max_queue_depth), "count");
     report.metric("net.rejected", static_cast<double>(fd.rejected), "count");
-    std::vector<trace::Span> spans = spans_a;
-    spans.insert(spans.end(), spans_b.begin(), spans_b.end());
-    report_engine_layers(report, spans, "net.drain", s0, s2, rig->flop_per_window());
-    report.metric("gen.late_p99_ms", quantile_of(base.lateness_ms, 0.99), "ms");
+    report_engine_layers(report, spans_a, "net.drain", s0, s1, rig->flop_per_window());
 
     const Attribution at = attribute(spans_a, "client.push",
                                      {{"self.net_ms", "client.send", true},
@@ -811,8 +682,8 @@ void run_wire_workload(const Args& args, Report& report, std::string& spans_csv)
                                      json_number(at.band_latency_ms) +
                                      ", \"band_residual_ms\": " + json_number(at.residual_ms) +
                                      ", \"untraced_p50_ms\": " + json_number(p50_untraced) + "}");
-    report.detail("phase_A_untraced", phase_json(base, args.rate));
-    report.detail("phase_A_traced", phase_json(a, args.rate));
+    report.detail("rounds_untraced", phase_json(base));
+    report.detail("rounds_traced", phase_json(a));
   }
 
   // ---- Correctness gate ----------------------------------------------------
@@ -843,24 +714,21 @@ void run_wire_workload(const Args& args, Report& report, std::string& spans_csv)
     report.fail_gate(std::to_string(gate_mismatch) +
                      " gate-round frames differ bitwise from the control engine");
   }
-  // Timed-phase samples: int8 passes are batch-invariant, so they must be
-  // bitwise equal to a session served alone; fused float passes carry the
-  // scheduler's documented parity bound.
+  // Timed samples: int8 passes are batch-invariant, so they must be bitwise
+  // equal to a session served alone.
   const std::vector<Tensor> control = control_single(spec, inputs, model, open, timed_samples);
   double worst = 0;
   std::int64_t sample_mismatch = 0;
   for (std::size_t i = 0; i < timed_samples.size(); ++i) {
     const Sample& s = timed_samples[i];
-    const bool ok = spec.int8 ? bitwise_equal(s.frame, control[i])
-                              : relative_max_diff(s.frame, control[i]) <= kFusedFloatTolerance;
     worst = std::max(worst, relative_max_diff(s.frame, control[i]));
-    if (!ok) ++sample_mismatch;
+    if (!bitwise_equal(s.frame, control[i])) ++sample_mismatch;
   }
-  if (timed_samples.empty()) report.fail_gate("no phase-A frames were sampled");
+  if (timed_samples.empty()) report.fail_gate("no timed frames were sampled");
   if (sample_mismatch > 0) {
     report.fail_gate(std::to_string(sample_mismatch) + " of " +
                      std::to_string(timed_samples.size()) +
-                     " sampled phase-A frames differ from the control engine");
+                     " sampled timed frames differ from the control engine");
   }
   report.detail("gate", "{\"round_frames\": " + std::to_string(gate.size()) +
                             ", \"round_mismatch\": " + std::to_string(gate_mismatch) +

@@ -13,7 +13,7 @@
 
 namespace perfbench {
 
-/// wire-distinct-float and wire-fanout-int8: loopback TCP front door.
+/// wire-fanout-int8: loopback TCP front door.
 void run_wire_workload(const Args& args, Report& report, std::string& spans_csv);
 
 /// online-drift: in-process serving with the online trainer attached.
