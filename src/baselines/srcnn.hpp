@@ -27,11 +27,11 @@ struct SrcnnConfig {
   int crops_per_epoch = 48;
   float learning_rate = 5e-4f;
   std::uint64_t seed = 17;
-  /// Data-parallel replica workers per train step: -1 forces the legacy
-  /// whole-batch serial step, 0 resolves automatically (MTSR_TRAIN_REPLICAS,
-  /// else one replica per pool shard, minimum 1 — auto never picks legacy),
-  /// >= 1 forces that many workers. Results are bit-identical across
-  /// settings >= 1 (see nn/replica.hpp).
+  /// Data-parallel replica workers per train step: 0 resolves
+  /// automatically (MTSR_TRAIN_REPLICAS, else one replica per pool shard,
+  /// minimum 1), >= 1 forces that many workers; fit() rejects negative
+  /// values. Results are bit-identical across all settings (see
+  /// nn/replica.hpp).
   int replicas = 0;
 };
 

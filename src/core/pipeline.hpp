@@ -48,9 +48,9 @@ class MtsrPipeline {
   /// Full-grid prediction for frame `t` (raw MB), stitched from overlapping
   /// windows with the moving-average filter.
   ///
-  /// Forwarding shim over the serving engine: the frames [t-S+1, t] are
-  /// streamed into an internal session configured for bit-identical outputs
-  /// to the pre-engine implementation (legacy pool-scaled sub-batching).
+  /// Served by an internal default-config engine session: the frames
+  /// [t-S+1, t] are streamed into it, so the output is bit-identical to any
+  /// other session of the same geometry and the same at every pool size.
   /// Consecutive calls (t, t+1, ...) reuse the session's rolling window
   /// cache, so sweeps like evaluate() skip re-aggregating shared history.
   [[nodiscard]] Tensor predict_frame(std::int64_t t);
@@ -63,7 +63,7 @@ class MtsrPipeline {
   [[nodiscard]] SampleSource make_sample_source(data::SplitRange range) const;
 
   /// Checkpointing: persists / restores the trained generator, so a model
-  /// trained offline can be shipped to a gateway (cf. StreamingInferencer).
+  /// trained offline can be shipped to a gateway (serving::Engine).
   /// load_generator requires an architecture-identical pipeline config.
   void save_generator(const std::string& path);
   void load_generator(const std::string& path);

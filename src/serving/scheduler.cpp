@@ -163,7 +163,6 @@ std::vector<std::optional<Tensor>> Scheduler::serve(
     Session& s = *sessions[i];
     s.admit(*frames[i]);
     if (!s.warm()) continue;
-    s.refresh_plan();
     Active a;
     a.index = i;
     a.session = &s;

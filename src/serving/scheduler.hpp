@@ -114,11 +114,10 @@ struct SchedulerShardStats {
 /// an engine; a standalone Session lazily owns a private one.
 class Scheduler {
  public:
-  /// Fixed sub-batch for engine-native sessions (SessionConfig::block ==
-  /// kDefaultBlock): two windows per block keeps a window-20 block's
-  /// lowered matrices cache-resident on a gateway-class core and — unlike
-  /// the legacy pool-scaled block — is a pure constant, so session outputs
-  /// never depend on the pool size. GEMM pool scaling comes from column
+  /// Windows per stitch block, for every session: two windows per block
+  /// keeps a window-20 block's lowered matrices cache-resident on a
+  /// gateway-class core, and as a pure constant it keeps session outputs
+  /// independent of the pool size. GEMM pool scaling comes from column
   /// chunking inside each (possibly fused) pass, not from the block.
   static constexpr std::int64_t kFixedBlock = 2;
 

@@ -57,8 +57,6 @@ Session::Session(std::shared_ptr<ModelSlot> slot, SessionConfig config,
             config_.window <= config_.cols,
         "Session: window must fit the grid");
   check(config_.stats.stddev > 0.0, "Session: bad normalisation stats");
-  check(config_.block >= SessionConfig::kLegacyBlock,
-        "Session: bad block size");
 
   if (config_.layout != nullptr) {
     layout_ = config_.layout;
@@ -83,10 +81,8 @@ Session::Session(std::shared_ptr<ModelSlot> slot, SessionConfig config,
                           config_.log_transform};
   model->validate(stream_);
 
-  const std::int64_t block =
-      config_.block > 0 ? config_.block : Scheduler::kFixedBlock;
   plan_ = data::make_stitch_plan(config_.rows, config_.cols, config_.window,
-                                 stride_, block);
+                                 stride_, Scheduler::kFixedBlock);
 
   if (!config_.stream.empty()) {
     // Everything that shapes a block's prediction besides the frame bytes
@@ -190,8 +186,8 @@ Tensor Session::coarsen_windows(const Tensor& normalized) const {
   const std::int64_t w = config_.window;
   Tensor out(Shape{n_windows, ci, ci});
   // Aggregating once per window ON ARRIVAL is what makes steady-state
-  // inference gather-free: the legacy path re-derived every window's
-  // aggregates from the full frame once per history step per prediction.
+  // inference gather-free: nothing re-derives a window's aggregates from
+  // the full frame once per history step per prediction.
   parallel_for(n_windows, [&](std::int64_t i) {
     Tensor coarse = layout_->coarsen(
         crop2d(normalized, plan_.row_origin(i), plan_.col_origin(i), w, w));
@@ -249,14 +245,6 @@ std::uint64_t Session::history_signature() const {
   std::uint64_t h = 1469598103934665603ull;
   for (const std::uint64_t fh : frame_hashes_) h = fnv1a(&fh, sizeof(fh), h);
   return h;
-}
-
-void Session::refresh_plan() {
-  // The legacy block tracks the CURRENT pool size on every inference,
-  // exactly as the pre-redesign entry points did.
-  if (config_.block == SessionConfig::kLegacyBlock) {
-    plan_.block = data::legacy_stitch_block();
-  }
 }
 
 void Session::gather_block(std::int64_t b0, std::int64_t b1, int slot) {

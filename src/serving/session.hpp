@@ -3,9 +3,9 @@
 //
 // A session owns everything one city/stream needs between requests:
 //  * the last S frames, pre-coarsened per stitch window on arrival, so a
-//    steady-state inference re-aggregates nothing (the legacy predict_frame
-//    path re-normalised the full frame once per window per history step —
-//    quadratic waste on city-scale grids);
+//    steady-state inference re-aggregates nothing (re-normalising the full
+//    frame once per window per history step would be quadratic waste on
+//    city-scale grids);
 //  * a dedicated rotating pair of mtsr::Workspace arenas. Block k of the
 //    stitch executes with ws[k % 2] bound as the thread workspace, while
 //    the gather of block k+1 runs on the scheduler's stage thread under
@@ -20,12 +20,11 @@
 // sessions into shared generator passes. A session served alone follows
 // exactly the block sequence the pre-scheduler Session::infer ran.
 //
-// Determinism: with a fixed `block`, session outputs are bit-identical
-// across pool sizes and across whether double-buffering is enabled — the
-// stage thread only changes WHEN a block is gathered, never its values, and
-// stitch_accumulate fixes the float-add order. The legacy shims instead
-// select the pool-scaled block of the entry points they replace, which
-// makes them bit-identical to the pre-redesign code at any pool size.
+// Determinism: every session stitches in blocks of Scheduler::kFixedBlock
+// windows, so its outputs are bit-identical across pool sizes and across
+// whether double-buffering is enabled — the stage thread only changes WHEN
+// a block is gathered, never its values, and stitch_accumulate fixes the
+// float-add order.
 #pragma once
 
 #include <cstdint>
@@ -71,15 +70,6 @@ struct SessionConfig {
   /// make_layout(instance, window, window) and owns it; a non-null layout
   /// is borrowed and must outlive the session.
   const data::ProbeLayout* layout = nullptr;
-
-  /// Windows per generator pass. kDefaultBlock (0) selects a fixed
-  /// sub-batch that never depends on the pool size, so session outputs are
-  /// reproducible across deployments; kLegacyBlock (-1) re-evaluates the
-  /// pool-scaled block of the pre-redesign entry points on every inference
-  /// (the forwarding shims use it for bit-identical outputs).
-  static constexpr std::int64_t kDefaultBlock = 0;
-  static constexpr std::int64_t kLegacyBlock = -1;
-  std::int64_t block = kDefaultBlock;
 
   /// Double-buffering: kAuto enables the stage-thread overlap when the
   /// pool has more than one worker (on a single core the overlap cannot
@@ -184,9 +174,6 @@ class Session {
   [[nodiscard]] bool warm() const {
     return static_cast<std::int64_t>(history_.size()) >= s_;
   }
-  /// Re-evaluates the pool-scaled block for kLegacyBlock sessions; called
-  /// once per inference, exactly as the pre-scheduler loop did.
-  void refresh_plan();
   /// Gathers windows [b0, b1) of the plan into slot `slot`'s batch.
   void gather_block(std::int64_t b0, std::int64_t b1, int slot);
   [[nodiscard]] ModelSlot::Ref resolve_model() const {
@@ -207,7 +194,7 @@ class Session {
   std::unique_ptr<data::ProbeLayout> owned_layout_;
   const data::ProbeLayout* layout_ = nullptr;
   StreamContext stream_;
-  data::StitchPlan plan_;  ///< block re-evaluated per infer for kLegacyBlock
+  data::StitchPlan plan_;
   ModelInputs needs_;
   std::int64_t s_ = 1;
   std::int64_t stride_ = 0;

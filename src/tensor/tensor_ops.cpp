@@ -82,12 +82,12 @@ constexpr std::int64_t kMr = 16;
 // SIMD dispatch of the float panel microkernel: the hand-scheduled AVX-512
 // (8×32 register tile) and AVX2 (6×16) kernels below are selected once per
 // process by CPUID, capped by the MTSR_SIMD environment variable; the
-// portable generic kernel is the fallback everywhere else. The previous
-// compiler-scheduled target_clones kernel is kept reachable — only through
-// the forced-kernel seam, under the level name "clones" — so the benchmark
-// can measure old vs new in the same binary. target_clones is disabled
-// under sanitizers (ifunc resolution order) and on non-x86 targets, where
-// "clones" degrades to the generic kernel.
+// portable generic kernel is the fallback everywhere else.
+//
+// MTSR_SIMD_CLONES compiles the small-k and NT block kernels once per ISA
+// (target_clones, resolved by the loader). It is disabled under sanitizers
+// (ifunc resolution order) and on non-x86 targets, where those kernels
+// build once for the baseline ISA.
 #if defined(__x86_64__) && defined(__GNUC__) && \
     !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
 #define MTSR_SIMD_CLONES \
@@ -96,24 +96,19 @@ constexpr std::int64_t kMr = 16;
 #define MTSR_SIMD_CLONES
 #endif
 
-#if defined(__GNUC__)
-#define MTSR_ALWAYS_INLINE __attribute__((always_inline)) inline
-#else
-#define MTSR_ALWAYS_INLINE inline
-#endif
-
 // C[i0:i1, j0:j1] += A[i0:i1, kk0:kk1] * panel, where `panel` holds B rows
 // kk0:kk1 for absolute columns [j0, j1) (row stride kNc). Portable
-// microkernel body: a 4×kMr C tile accumulated in registers against packed
-// A quads and panel rows streamed through L1. Per output element the
-// accumulation is the plain ascending-k sequence (the registers only hold
-// what memory held before), so results stay bit-identical across pool
-// sizes AND match the unblocked i-k-j order exactly. always_inline so the
-// target_clones wrapper below compiles one copy per ISA clone.
-MTSR_ALWAYS_INLINE void gemm_nn_panel_body(
-    const float* pa, std::int64_t lda, const float* panel, float* pc,
-    std::int64_t ldc, std::int64_t i0, std::int64_t i1, std::int64_t kk0,
-    std::int64_t kk1, std::int64_t j0, std::int64_t j1) {
+// fallback kernel — also the "scalar"/"sse2" forced levels: a 4×kMr C tile
+// accumulated in registers against packed A quads and panel rows streamed
+// through L1. Per output element the accumulation is the plain ascending-k
+// sequence (the registers only hold what memory held before), so results
+// stay bit-identical across pool sizes AND match the unblocked i-k-j order
+// exactly.
+void gemm_nn_panel_generic(const float* pa, std::int64_t lda,
+                           const float* panel, float* pc, std::int64_t ldc,
+                           std::int64_t i0, std::int64_t i1, std::int64_t kk0,
+                           std::int64_t kk1, std::int64_t j0,
+                           std::int64_t j1) {
   alignas(64) float apack[4 * kKc];
   const std::int64_t width = j1 - j0;
   std::int64_t i = i0;
@@ -184,27 +179,6 @@ MTSR_ALWAYS_INLINE void gemm_nn_panel_body(
       for (std::int64_t j = 0; j < width; ++j) crow[j] += aik * brow[j];
     }
   }
-}
-
-// Portable fallback kernel — also the "scalar"/"sse2" forced levels.
-void gemm_nn_panel_generic(const float* pa, std::int64_t lda,
-                           const float* panel, float* pc, std::int64_t ldc,
-                           std::int64_t i0, std::int64_t i1, std::int64_t kk0,
-                           std::int64_t kk1, std::int64_t j0,
-                           std::int64_t j1) {
-  gemm_nn_panel_body(pa, lda, panel, pc, ldc, i0, i1, kk0, kk1, j0, j1);
-}
-
-// The pre-hand-scheduling kernel, compiler-vectorised per ISA by
-// target_clones: the benchmark baseline the speedup claims are measured
-// against (reachable only through matmul_into_forced_kernel("clones")).
-MTSR_SIMD_CLONES
-void gemm_nn_panel_clones(const float* pa, std::int64_t lda,
-                          const float* panel, float* pc, std::int64_t ldc,
-                          std::int64_t i0, std::int64_t i1, std::int64_t kk0,
-                          std::int64_t kk1, std::int64_t j0,
-                          std::int64_t j1) {
-  gemm_nn_panel_body(pa, lda, panel, pc, ldc, i0, i1, kk0, kk1, j0, j1);
 }
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -428,10 +402,6 @@ bool float_kernel_for_level(std::string_view level, FloatPanelKernel* out) {
     *out = {&gemm_nn_panel_generic, "generic"};
     return true;
   }
-  if (level == "clones") {
-    *out = {&gemm_nn_panel_clones, "clones"};
-    return true;
-  }
 #if defined(__x86_64__) && defined(__GNUC__)
   if ((level == "avx512" || level == "vnni") &&
       __builtin_cpu_supports("avx512f")) {
@@ -453,7 +423,6 @@ FloatPanelKernel resolve_float_kernel() {
   const char* env = std::getenv("MTSR_SIMD");
   const std::string_view want = env != nullptr ? env : "";
   if (want == "scalar" || want == "sse2") return {};
-  if (want == "clones") return {&gemm_nn_panel_clones, "clones"};
 #if defined(__x86_64__) && defined(__GNUC__)
   const bool allow_avx512 =
       want.empty() || want == "avx512" || want == "vnni";

@@ -60,10 +60,6 @@ void matmul_nt_into(const float* a, const float* b, float* c, std::int64_t m,
 void transpose_into(const float* a, std::int64_t m, std::int64_t n,
                     float* out);
 
-/// Feature-test macro for the forced-kernel seams below — lets the bench
-/// binary compile against trees that predate the hand-scheduled kernels.
-#define MTSR_TENSOR_OPS_FORCED_KERNELS 1
-
 /// Name of the hand-scheduled panel microkernel the float matmul family
 /// dispatches to on this host: "avx512" (8×32 FMA register tile), "avx2"
 /// (6×16), or "generic" (the portable fallback). The MTSR_SIMD environment
@@ -73,11 +69,10 @@ void transpose_into(const float* a, std::int64_t m, std::int64_t n,
 
 /// Testing/benchmark seam: runs matmul_into with the microkernel of an
 /// explicit dispatch level — "scalar"/"sse2"/"generic" (portable kernel),
-/// "avx2", "avx512", "vnni" (same float kernel as "avx512"), or "clones"
-/// (the pre-hand-scheduling target_clones kernel, kept for interleaved
-/// old-vs-new benchmarking) — regardless of MTSR_SIMD. Returns false
-/// without touching `c` when this host cannot execute the requested level.
-/// The production dispatch, resolved once per process, is unaffected.
+/// "avx2", or "avx512"/"vnni" (the same float kernel) — regardless of
+/// MTSR_SIMD. Returns false without touching `c` when this host cannot
+/// execute the requested level or the name is unknown. The production
+/// dispatch, resolved once per process, is unaffected.
 [[nodiscard]] bool matmul_into_forced_kernel(const char* level,
                                              const float* a, const float* b,
                                              float* c, std::int64_t m,

@@ -16,7 +16,6 @@
 #include "src/common/check.hpp"
 #include "src/common/parallel.hpp"
 #include "src/common/workspace.hpp"
-#include "src/core/discriminator_int8.hpp"
 #include "src/core/pipeline.hpp"
 #include "src/core/zipnet_int8.hpp"
 #include "src/data/milan.hpp"
@@ -646,7 +645,8 @@ TEST(ServingInt8, SteadyStateZeroArenaGrowth) {
                                        8, 3)));
   serving::SessionConfig config = serving::SessionConfig::from_dataset(
       "zipnet-int8", data::MtsrInstance::kUp4, dataset, 8, 4);
-  config.block = 2;  // 9 windows -> 5 blocks: both arena slots in play
+  // 9 windows in blocks of Scheduler::kFixedBlock (2) -> 5 blocks: both
+  // arena slots in play.
   const auto id = engine.open_session(config);
 
   for (std::int64_t t = 0; t < 3; ++t) {
@@ -770,53 +770,6 @@ TEST(SrcnnInt8, ServingNrmseWithinTwoPercentOfFloat) {
   // 2% relative of the float SRCNN baseline.
   EXPECT_LE(std::fabs(nrmse_int8 - nrmse_float), 0.02 * nrmse_float)
       << "float NRMSE " << nrmse_float << " vs int8 " << nrmse_int8;
-}
-
-// ---- DiscriminatorInt8 -----------------------------------------------------
-
-TEST(DiscriminatorInt8, MirrorsFloatWithinQuantisationNoise) {
-  Rng rng(24);
-  core::DiscriminatorConfig config;
-  config.base_channels = 4;
-  core::Discriminator disc(config, rng);
-
-  // A few training forwards move the BatchNorm running statistics off
-  // their init values, so the fold is exercised for real.
-  std::vector<Tensor> batches;
-  for (int i = 0; i < 3; ++i) {
-    batches.push_back(Tensor::randn(Shape{2, 16, 16}, rng));
-    Workspace::Scope scope(Workspace::tls());
-    (void)disc.forward(batches.back(), true);
-  }
-
-  EXPECT_THROW((void)core::DiscriminatorInt8::convert(disc, {}),
-               ContractViolation);
-
-  core::DiscriminatorInt8 net(disc);
-  Tensor want;
-  {
-    Workspace::Scope scope(Workspace::tls());
-    want = disc.forward(batches[0], false);
-    Tensor got = net.forward_calibrate(batches[0]);
-    ASSERT_EQ(want.shape(), got.shape());
-    for (std::int64_t i = 0; i < want.size(); ++i) {
-      ASSERT_NEAR(want.flat(i), got.flat(i), 1e-4) << "at " << i;
-    }
-  }
-  EXPECT_THROW((void)net.forward(batches[0]), ContractViolation);
-
-  auto frozen = core::DiscriminatorInt8::convert(disc, batches);
-  ASSERT_TRUE(frozen->frozen());
-  Workspace::Scope scope(Workspace::tls());
-  Tensor got = frozen->forward(batches[0]);
-  ASSERT_EQ(got.shape(), want.shape());
-  for (std::int64_t i = 0; i < got.size(); ++i) {
-    // Probabilities stay in (0, 1) and track the float head within the
-    // accumulated quantisation noise of seven int8 layers.
-    EXPECT_GT(got.flat(i), 0.f);
-    EXPECT_LT(got.flat(i), 1.f);
-    EXPECT_NEAR(got.flat(i), want.flat(i), 0.1f) << "at " << i;
-  }
 }
 
 }  // namespace

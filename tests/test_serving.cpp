@@ -1,8 +1,8 @@
 // Tests for the serving layer: engine/session lifecycle, warm-up
 // semantics, multi-session determinism (pool sizes, interleavings, overlap
-// on/off), shim-vs-engine output identity, per-session arena telemetry and
-// the zero-growth steady-state contract, baseline interchangeability, and
-// the load_generator architecture diagnostics.
+// on/off), predict_frame-vs-session output identity, per-session arena
+// telemetry and the zero-growth steady-state contract, baseline
+// interchangeability, and the load_generator architecture diagnostics.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -14,7 +14,6 @@
 #include "src/common/parallel.hpp"
 #include "src/common/topology.hpp"
 #include "src/core/pipeline.hpp"
-#include "src/core/streaming.hpp"
 #include "src/data/milan.hpp"
 #include "src/serving/engine.hpp"
 #include "src/serving/model.hpp"
@@ -146,8 +145,8 @@ TEST(Session, WarmUpSemanticsThroughEngine) {
 }
 
 TEST(Session, PipelineShimMatchesEngineSession) {
-  // The predict_frame shim and a hand-opened session with the same legacy
-  // configuration must produce bit-identical full-grid predictions.
+  // predict_frame and a hand-opened default-config session of the same
+  // geometry must produce bit-identical full-grid predictions.
   data::TrafficDataset dataset = small_dataset(412);
   core::PipelineConfig config = small_pipeline_config();
   config.stitch_stride = 3;
@@ -155,7 +154,6 @@ TEST(Session, PipelineShimMatchesEngineSession) {
 
   SessionConfig session_config = SessionConfig::from_dataset(
       "zipnet", data::MtsrInstance::kUp4, dataset, 8, 3);
-  session_config.block = SessionConfig::kLegacyBlock;
   const auto id = pipeline.engine().open_session(session_config);
 
   for (std::int64_t t : {4, 5, 9}) {
@@ -169,32 +167,6 @@ TEST(Session, PipelineShimMatchesEngineSession) {
     Tensor shim = pipeline.predict_frame(t);
     expect_bitwise(shim, *manual, "predict_frame vs engine session");
   }
-}
-
-TEST(Session, StreamingShimMatchesEngineSession) {
-  data::TrafficDataset dataset = small_dataset(413);
-  core::MtsrPipeline pipeline(small_pipeline_config(), dataset);
-
-  core::StreamingInferencer stream = core::StreamingInferencer::from_dataset(
-      pipeline.generator(), pipeline.window_layout(), dataset, 8, 4);
-
-  Engine engine;
-  engine.register_model(
-      "zipnet", std::make_shared<ZipNetModel>(pipeline.generator()));
-  SessionConfig config = SessionConfig::from_dataset(
-      "zipnet", data::MtsrInstance::kUp4, dataset, 8, 4);
-  config.block = 1;  // the streaming shim's legacy per-window batching
-  const auto id = engine.open_session(config);
-
-  for (std::int64_t t = 0; t < 6; ++t) {
-    auto from_shim = stream.push_fine(dataset.frame(t));
-    auto from_engine = engine.push(id, dataset.frame(t));
-    ASSERT_EQ(from_shim.has_value(), from_engine.has_value());
-    if (from_shim) {
-      expect_bitwise(*from_shim, *from_engine, "push_fine vs engine session");
-    }
-  }
-  EXPECT_EQ(stream.inference_count(), 4);
 }
 
 TEST(Session, DeterministicAcrossPoolSizesInterleavingsAndOverlap) {
@@ -341,7 +313,8 @@ TEST(Session, SteadyStateServingHasZeroArenaGrowth) {
       "zipnet", std::make_shared<ZipNetModel>(pipeline.generator()));
   SessionConfig config = SessionConfig::from_dataset(
       "zipnet", data::MtsrInstance::kUp4, dataset, 8, 4);
-  config.block = 2;  // 9 windows -> 5 blocks: both arena slots in play
+  // 9 windows in blocks of Scheduler::kFixedBlock (2) -> 5 blocks: both
+  // arena slots in play.
   const auto id = engine.open_session(config);
 
   // Warm-up: the first inference pushes both rotating arenas to their

@@ -17,6 +17,13 @@ TEST(Srcnn, RequiresFitBeforePredict) {
   data::UniformProbeLayout layout(8, 8, 2);
   EXPECT_THROW((void)srcnn.super_resolve(Tensor(Shape{8, 8}), layout),
                ContractViolation);
+
+  // Negative replica counts are rejected: fit always runs the sliced step.
+  SrcnnConfig config;
+  config.replicas = -1;
+  Srcnn rejected(config);
+  EXPECT_THROW(rejected.fit({Tensor::ones(Shape{8, 8})}, layout),
+               ContractViolation);
 }
 
 TEST(Srcnn, TrainingLossDecreases) {
