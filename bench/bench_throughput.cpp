@@ -19,6 +19,7 @@
 #include "src/common/workspace.hpp"
 #include "src/core/gan_trainer.hpp"
 #include "src/core/pipeline.hpp"
+#include "src/core/zipnet_int8.hpp"
 #include "src/data/augmentation.hpp"
 #include "src/data/milan.hpp"
 #include "src/nn/conv2d.hpp"
@@ -365,6 +366,42 @@ void BM_ServeEngineInt8(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kServeSessions * kServeFrames);
 }
 BENCHMARK(BM_ServeEngineInt8)->Arg(100)->UseRealTime()->Unit(benchmark::kMillisecond);
+
+// One int8 generator pass at the serving geometry of the end-to-end
+// benchmark (perfbench/): window 20 at up-4 (5×5 coarse windows, S = 3),
+// base 4 / zipper 4×16 / final 12 widths. The batch is the windows per
+// pass: the scheduler's fixed block is 2 and its fuse cap 4. Weights are
+// untrained — the timing does not depend on them.
+void BM_ZipNetInt8Pass(benchmark::State& state) {
+  const std::int64_t batch = state.range(0);
+  core::ZipNetConfig config;
+  config.temporal_length = 3;
+  config.upscale_factors = {2, 2};
+  config.base_channels = 4;
+  config.zipper_modules = 4;
+  config.zipper_channels = 16;
+  config.final_channels = 12;
+  Rng rng(7);
+  core::ZipNet generator(config, rng);
+  std::vector<Tensor> calibration;
+  for (int i = 0; i < 4; ++i) {
+    calibration.push_back(Tensor::uniform(Shape{2, 3, 5, 5}, rng, -1.f, 3.f));
+  }
+  const auto net = core::ZipNetInt8::convert(generator, calibration);
+  const Tensor x = Tensor::uniform(Shape{batch, 3, 5, 5}, rng, -1.f, 3.f);
+  for (auto _ : state) {
+    Workspace::Scope scope(Workspace::tls());
+    benchmark::DoNotOptimize(net->forward(x));
+  }
+  state.SetLabel(gemm_u8s8_kernel_name());
+  state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(BM_ZipNetInt8Pass)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 // ---- Scheduler: cross-session fusion + fan-out dedup ------------------------
 //

@@ -19,6 +19,15 @@ namespace mtsr::baselines {
 /// (h*factor, w*factor).
 [[nodiscard]] Tensor bicubic_upsample(const Tensor& coarse, int factor);
 
+/// Raw-pointer form of bicubic_upsample: the (h, w) grid at `coarse`
+/// upsamples into the (h·factor, w·factor) grid at `out`, which it
+/// overwrites, or adds to when `accumulate` is set. Per element the same
+/// arithmetic as bicubic_upsample; scratch comes from the thread's
+/// Workspace, so it makes no heap allocation.
+void bicubic_upsample_into(const float* coarse, std::int64_t h,
+                           std::int64_t w, int factor, float* out,
+                           bool accumulate);
+
 /// Adjoint of bicubic_upsample: maps a fine-grid cotangent (h*factor,
 /// w*factor) back to the coarse grid (h, w), satisfying
 /// <bicubic_upsample(x), y> == <x, bicubic_upsample_adjoint(y)>. Used to

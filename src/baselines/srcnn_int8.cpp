@@ -87,7 +87,9 @@ Tensor SrcnnInt8::run(const Tensor& fine_frame, const data::ProbeLayout& layout,
   const std::int64_t rows = mid.dim(0), cols = mid.dim(1);
   mid.add_scalar_(static_cast<float>(-mean_));
   mid.mul_scalar_(static_cast<float>(1.0 / stddev_));
-  Tensor x = mid.reshape(Shape{1, 1, rows, cols});
+  // One channel: the (1, rows, cols, 1) channels-last batch the quantised
+  // layers take is the frame itself.
+  Tensor x = mid.reshape(Shape{1, rows, cols, 1});
   Workspace::Scope ws_scope(Workspace::tls());
   for (auto& layer : layers_) {
     x = quantised ? layer->forward(x) : layer->forward_calibrate(x);

@@ -198,11 +198,16 @@ void add_residual_base(Tensor& result, const Tensor& latest,
     float* dst = result.data();
     for (std::int64_t i = 0; i < result.size(); ++i) dst[i] += up[i];
   } else {
+    // Accumulate each window's base straight into its prediction.
+    const std::int64_t h = latest.dim(1), w = latest.dim(2);
+    check(result.size() == n * h * factor * w * factor,
+          "add_residual_base: prediction/coarse frame size mismatch");
     for (std::int64_t i = 0; i < n; ++i) {
-      Tensor base = baselines::bicubic_upsample(select0(latest, i), factor);
-      float* dst = result.data() + i * base.size();
-      const float* src = base.data();
-      for (std::int64_t j = 0; j < base.size(); ++j) dst[j] += src[j];
+      baselines::bicubic_upsample_into(latest.data() + i * h * w, h, w,
+                                       factor,
+                                       result.data() + i * h * w * factor *
+                                                           factor,
+                                       /*accumulate=*/true);
     }
   }
 }

@@ -8,6 +8,15 @@
 // and the residual interpolation base are replicated exactly — those run in
 // float either way; only the GEMMs (the dominant cost) run u8·s8.
 //
+// Channels-last contract: inside the network every activation is a
+// channels-last batch of workspace rows, (N, D, H, W, C) through the 3-D
+// stages and (N, H, W, C) after the collapse, so each layer's GEMM output
+// rows feed the next layer as they stand. The collapse itself is the entry
+// conv, run as a depth-S 3-D conv over the last stage's output. The public
+// input and output have one channel (C = 1 at both ends), where NCHW and
+// NHWC coincide, so the interface below is unchanged and the outputs are
+// bit-identical to an NCHW execution of the same quantised network.
+//
 // Calibration workflow:
 //   auto int8 = ZipNetInt8::convert(generator, calibration_batches);
 // runs a float forward over each calibration batch (a handful of warm-up
@@ -73,7 +82,7 @@ class ZipNetInt8 {
     std::vector<std::unique_ptr<nn::QuantConv3d>> convs;
   };
   std::vector<Stage3d> upscale_;
-  std::unique_ptr<nn::QuantConv2d> entry_;
+  std::unique_ptr<nn::QuantConv3d> entry_;  ///< depth-S collapse conv
   std::vector<std::unique_ptr<nn::QuantConv2d>> zipper_;
   std::vector<std::unique_ptr<nn::QuantConv2d>> final_;  ///< last is linear
   bool frozen_ = false;

@@ -79,9 +79,7 @@ void quantize_u8(const float* x, std::int64_t n, const ActQuant& aq,
                  std::uint8_t* out) {
   const float inv = 1.f / aq.scale;
   const float zp = static_cast<float>(aq.zero_point);
-  parallel_for_chunks(n, [&](std::int64_t b, std::int64_t e, int) {
-    for (std::int64_t i = b; i < e; ++i) out[i] = quantize_core(x[i], inv, zp);
-  });
+  for (std::int64_t i = 0; i < n; ++i) out[i] = quantize_core(x[i], inv, zp);
 }
 
 void dequantize_u8(const std::uint8_t* q, std::int64_t n, const ActQuant& aq,
@@ -89,67 +87,21 @@ void dequantize_u8(const std::uint8_t* q, std::int64_t n, const ActQuant& aq,
   for (std::int64_t i = 0; i < n; ++i) out[i] = dequantize_value(q[i], aq);
 }
 
-void quantize_transpose_u8(const float* src, std::int64_t rows,
-                           std::int64_t cols, const ActQuant& aq,
-                           std::uint8_t* out, std::int64_t row_stride) {
-  check(row_stride >= rows, "quantize_transpose_u8: row_stride < rows");
-  const float inv = 1.f / aq.scale;
-  const float zp = static_cast<float>(aq.zero_point);
-  // 32×32 tiles keep the strided read stream in L1 (cf. transpose_into).
-  constexpr std::int64_t kTile = 32;
-  parallel_for_grain(cols, kTile, [&](std::int64_t c0, std::int64_t c1, int) {
-    for (std::int64_t ct = c0; ct < c1; ct += kTile) {
-      const std::int64_t cmax = std::min(c1, ct + kTile);
-      for (std::int64_t rt = 0; rt < rows; rt += kTile) {
-        const std::int64_t rmax = std::min(rows, rt + kTile);
-        for (std::int64_t c = ct; c < cmax; ++c) {
-          std::uint8_t* orow = out + c * row_stride;
-          for (std::int64_t r = rt; r < rmax; ++r) {
-            orow[r] = quantize_core(src[r * cols + c], inv, zp);
-          }
-        }
-      }
-      // Zero the k-alignment tail once per output row.
-      if (row_stride > rows) {
-        for (std::int64_t c = ct; c < cmax; ++c) {
-          std::memset(out + c * row_stride + rows, 0,
-                      static_cast<std::size_t>(row_stride - rows));
-        }
-      }
+void quantize_rows_u8(const float* x, std::int64_t rows, std::int64_t cols,
+                      std::int64_t ldx, const ActQuant& aq, std::uint8_t* out,
+                      std::int64_t ldo) {
+  check(ldx >= cols && ldo >= cols, "quantize_rows_u8: stride below cols");
+  if (ldx == cols && ldo == cols) {
+    quantize_u8(x, rows * cols, aq, out);
+    return;
+  }
+  for (std::int64_t r = 0; r < rows; ++r) {
+    quantize_u8(x + r * ldx, cols, aq, out + r * ldo);
+    if (ldo > cols) {
+      std::memset(out + r * ldo + cols, 0,
+                  static_cast<std::size_t>(ldo - cols));
     }
-  });
-}
-
-void quantize_batch_transpose_u8(const float* src, std::int64_t n,
-                                 std::int64_t c, std::int64_t inner,
-                                 const ActQuant& aq, std::uint8_t* out,
-                                 std::int64_t row_stride) {
-  check(row_stride >= c, "quantize_batch_transpose_u8: row_stride < c");
-  const float inv = 1.f / aq.scale;
-  const float zp = static_cast<float>(aq.zero_point);
-  parallel_for(n, [&](std::int64_t i) {
-    const float* sample = src + i * c * inner;
-    std::uint8_t* block = out + i * inner * row_stride;
-    constexpr std::int64_t kTile = 32;
-    for (std::int64_t pt = 0; pt < inner; pt += kTile) {
-      const std::int64_t pmax = std::min(inner, pt + kTile);
-      for (std::int64_t cht = 0; cht < c; cht += kTile) {
-        const std::int64_t chmax = std::min(c, cht + kTile);
-        for (std::int64_t pos = pt; pos < pmax; ++pos) {
-          std::uint8_t* orow = block + pos * row_stride;
-          for (std::int64_t ch = cht; ch < chmax; ++ch) {
-            orow[ch] = quantize_core(sample[ch * inner + pos], inv, zp);
-          }
-        }
-      }
-    }
-    if (row_stride > c) {
-      for (std::int64_t pos = 0; pos < inner; ++pos) {
-        std::memset(block + pos * row_stride + c, 0,
-                    static_cast<std::size_t>(row_stride - c));
-      }
-    }
-  });
+  }
 }
 
 namespace {

@@ -82,7 +82,9 @@ struct RangeObserver {
 /// x̂ = scale * (q - zero_point).
 [[nodiscard]] float dequantize_value(std::uint8_t q, const ActQuant& aq);
 
-/// Element-wise quantisation of `n` floats into uint8.
+/// Element-wise quantisation of `n` floats into uint8. Serial: one flat
+/// loop the compiler vectorises — at layer-input sizes a pool dispatch
+/// costs more than the loop itself.
 void quantize_u8(const float* x, std::int64_t n, const ActQuant& aq,
                  std::uint8_t* out);
 
@@ -90,28 +92,14 @@ void quantize_u8(const float* x, std::int64_t n, const ActQuant& aq,
 void dequantize_u8(const std::uint8_t* q, std::int64_t n, const ActQuant& aq,
                    float* out);
 
-/// Quantise-and-transpose: reads a row-major (rows × cols) float matrix and
-/// writes the uint8 transpose (cols × rows) with each output row
-/// zero-padded to `row_stride` bytes (row_stride >= rows; the tail padding
-/// is the GEMM's k-alignment and multiplies against packed-B rows that are
-/// themselves zero). The general float-source route to a gemm_u8s8 A
-/// operand — the conv layers take the cheaper byte route instead
-/// (quantize_u8 on the input image, then the u8 lowering + byte transpose
-/// in tensor_ops.hpp), so use this when the float matrix already exists.
-/// Tiled and pool-parallel; deterministic (element-wise independent).
-void quantize_transpose_u8(const float* src, std::int64_t rows,
-                           std::int64_t cols, const ActQuant& aq,
-                           std::uint8_t* out, std::int64_t row_stride);
-
-/// Per-sample quantise-and-transpose of an (n, c, inner) batch: output row
-/// m = i*inner + pos holds the c channel values of sample i at position
-/// pos, zero-padded to `row_stride`. The u8 A operand of the transposed-
-/// convolution GEMM, produced straight from the layer input (no
-/// channel-major float staging needed).
-void quantize_batch_transpose_u8(const float* src, std::int64_t n,
-                                 std::int64_t c, std::int64_t inner,
-                                 const ActQuant& aq, std::uint8_t* out,
-                                 std::int64_t row_stride);
+/// Quantises `rows` rows of `cols` floats (source row stride ldx >= cols)
+/// into uint8 rows at stride ldo >= cols, zeroing bytes [cols, ldo). The
+/// channels-last layer input route: it drops the padded channels of a
+/// GEMM-output batch (ldo = cols) or widens rows to the GEMM k-alignment
+/// (ldo = kpad). Serial; packed rows run as one quantize_u8 loop.
+void quantize_rows_u8(const float* x, std::int64_t rows, std::int64_t cols,
+                      std::int64_t ldx, const ActQuant& aq, std::uint8_t* out,
+                      std::int64_t ldo);
 
 /// Per-output-channel symmetric weight quantisation: `w` is row-major
 /// (channels × per_channel); row o is quantised to ±qmax with its own

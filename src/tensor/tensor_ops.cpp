@@ -1467,180 +1467,108 @@ Tensor col2vol_batched(const Tensor& columns, std::int64_t n,
 
 namespace {
 
-// One lowered output line: ow bytes for a fixed (channel, ky, kx) tap and
-// input row. For the unit-stride case the in-range span is one contiguous
-// memcpy between two pad fills; the generic case checks per element.
-inline void lower_u8_line(const std::uint8_t* irow, std::int64_t w,
-                          std::int64_t ow, int stride_w, int pad_w, int kx,
-                          std::uint8_t pad, std::uint8_t* oline) {
-  if (stride_w == 1) {
-    // ix = ox - pad_w + kx in [0, w) <=> ox in [head, head + span).
-    const std::int64_t head =
-        std::min(ow, std::max<std::int64_t>(0, pad_w - kx));
-    const std::int64_t span =
-        std::min(ow, w + pad_w - kx) - head;
-    if (head > 0) std::memset(oline, pad, static_cast<std::size_t>(head));
-    if (span > 0) {
-      std::memcpy(oline + head, irow + head - pad_w + kx,
-                  static_cast<std::size_t>(span));
-    }
-    const std::int64_t tail = ow - head - std::max<std::int64_t>(span, 0);
-    if (tail > 0) {
-      std::memset(oline + ow - tail, pad, static_cast<std::size_t>(tail));
-    }
-    return;
+// Copies `len` bytes with fixed-width (possibly overlapping) moves, so the
+// short channel runs of the row lowering never call into memcpy.
+inline void copy_run(std::uint8_t* dst, const std::uint8_t* src,
+                     std::int64_t len) {
+  if (len >= 16) {
+    std::int64_t i = 0;
+    for (; i + 16 <= len; i += 16) std::memcpy(dst + i, src + i, 16);
+    if (i < len) std::memcpy(dst + len - 16, src + len - 16, 16);
+  } else if (len >= 8) {
+    std::memcpy(dst, src, 8);
+    std::memcpy(dst + len - 8, src + len - 8, 8);
+  } else if (len >= 4) {
+    std::memcpy(dst, src, 4);
+    std::memcpy(dst + len - 4, src + len - 4, 4);
+  } else {
+    for (std::int64_t i = 0; i < len; ++i) dst[i] = src[i];
   }
-  for (std::int64_t ox = 0; ox < ow; ++ox) {
-    const std::int64_t ix = ox * stride_w - pad_w + kx;
-    oline[ox] = (ix >= 0 && ix < w) ? irow[ix] : pad;
+}
+
+// Fills `len` bytes with `value` by the same fixed-width moves.
+inline void fill_run(std::uint8_t* dst, std::uint8_t value,
+                     std::int64_t len) {
+  const std::uint64_t word = 0x0101010101010101ull * value;
+  if (len >= 8) {
+    std::int64_t i = 0;
+    for (; i + 8 <= len; i += 8) std::memcpy(dst + i, &word, 8);
+    if (i < len) std::memcpy(dst + len - 8, &word, 8);
+  } else if (len >= 4) {
+    std::memcpy(dst, &word, 4);
+    std::memcpy(dst + len - 4, &word, 4);
+  } else {
+    for (std::int64_t i = 0; i < len; ++i) dst[i] = value;
   }
 }
 
 }  // namespace
 
-void im2col_batched_u8_into(const std::uint8_t* pi, std::int64_t n,
-                            std::int64_t c, std::int64_t h, std::int64_t w,
-                            int kh, int kw, int stride_h, int stride_w,
-                            int pad_h, int pad_w, std::uint8_t pad,
-                            std::uint8_t* po) {
-  const std::int64_t oh = (h + 2 * pad_h - kh) / stride_h + 1;
-  const std::int64_t ow = (w + 2 * pad_w - kw) / stride_w + 1;
-  // Same row-parallel structure as the float lowering, 4x less bandwidth.
-  parallel_for(c * kh * kw, [&](std::int64_t row) {
-    const std::int64_t ch = row / (kh * kw);
-    const std::int64_t rem = row % (kh * kw);
-    const int ky = static_cast<int>(rem / kw);
-    const int kx = static_cast<int>(rem % kw);
-    std::uint8_t* orow = po + row * n * oh * ow;
-    for (std::int64_t i = 0; i < n; ++i) {
-      const std::uint8_t* img = pi + (i * c + ch) * h * w;
-      std::uint8_t* oseg = orow + i * oh * ow;
-      for (std::int64_t oy = 0; oy < oh; ++oy) {
-        const std::int64_t iy = oy * stride_h - pad_h + ky;
-        if (iy < 0 || iy >= h) {
-          std::memset(oseg + oy * ow, pad, static_cast<std::size_t>(ow));
-          continue;
-        }
-        lower_u8_line(img + iy * w, w, ow, stride_w, pad_w, kx, pad,
-                      oseg + oy * ow);
-      }
-    }
-  });
-}
-
-void vol2col_batched_u8_into(const std::uint8_t* pi, std::int64_t n,
-                             std::int64_t c, std::int64_t d, std::int64_t h,
-                             std::int64_t w, int kd, int kh, int kw,
-                             int stride_d, int stride_h, int stride_w,
-                             int pad_d, int pad_h, int pad_w, std::uint8_t pad,
-                             std::uint8_t* po) {
+void vol2row_u8_into(const std::uint8_t* input, std::int64_t ld,
+                     std::int64_t n, std::int64_t c, std::int64_t d,
+                     std::int64_t h, std::int64_t w, int kd, int kh, int kw,
+                     int stride_d, int stride_h, int stride_w, int pad_d,
+                     int pad_h, int pad_w, std::uint8_t pad, std::uint8_t* out,
+                     std::int64_t lda) {
   const std::int64_t od = (d + 2 * pad_d - kd) / stride_d + 1;
   const std::int64_t oh = (h + 2 * pad_h - kh) / stride_h + 1;
   const std::int64_t ow = (w + 2 * pad_w - kw) / stride_w + 1;
-  const std::int64_t taps = static_cast<std::int64_t>(kd) * kh * kw;
-  parallel_for(c * taps, [&](std::int64_t row) {
-    const std::int64_t ch = row / taps;
-    std::int64_t rem = row % taps;
-    const int kz = static_cast<int>(rem / (kh * kw));
-    rem %= kh * kw;
-    const int ky = static_cast<int>(rem / kw);
-    const int kx = static_cast<int>(rem % kw);
-    std::uint8_t* orow = po + row * n * od * oh * ow;
-    for (std::int64_t i = 0; i < n; ++i) {
-      const std::uint8_t* vol = pi + (i * c + ch) * d * h * w;
-      std::uint8_t* oseg = orow + i * od * oh * ow;
-      for (std::int64_t oz = 0; oz < od; ++oz) {
+  const std::int64_t line = kw * c;  // one (kz, ky) tap line of a row
+  const std::int64_t k = static_cast<std::int64_t>(kd) * kh * line;
+  check(ld >= c && lda >= k, "vol2row_u8_into: stride below row width");
+  // Columns [ox_lo, ox_hi) have their kernel row inside the input row: with
+  // packed positions each of their tap lines is one contiguous run.
+  std::int64_t ox_lo = 0, ox_hi = 0;
+  if (ld == c && w + pad_w - kw >= 0) {
+    ox_lo = std::min<std::int64_t>(ow, (pad_w + stride_w - 1) / stride_w);
+    ox_hi = std::max(ox_lo, std::min<std::int64_t>(
+                                ow, (w + pad_w - kw) / stride_w + 1));
+  }
+  // Tasks are output lines (i, oz, oy) of ow rows; within a line each tap
+  // line's bounds are checked once for all its columns. A grain of a few
+  // hundred rows keeps a serving-size pass to a handful of pool dispatches.
+  parallel_for_grain(n * od * oh, std::max<std::int64_t>(1, 256 / ow),
+                     [&](std::int64_t l0, std::int64_t l1, int) {
+    for (std::int64_t l = l0; l < l1; ++l) {
+      const std::int64_t oy = l % oh;
+      const std::int64_t oz = (l / oh) % od;
+      const std::int64_t i = l / (oh * od);
+      std::uint8_t* rows = out + l * ow * lda;
+      for (int kz = 0; kz < kd; ++kz) {
         const std::int64_t iz = oz * stride_d - pad_d + kz;
-        if (iz < 0 || iz >= d) {
-          std::memset(oseg + oz * oh * ow, pad,
-                      static_cast<std::size_t>(oh * ow));
-          continue;
-        }
-        for (std::int64_t oy = 0; oy < oh; ++oy) {
+        for (int ky = 0; ky < kh; ++ky) {
           const std::int64_t iy = oy * stride_h - pad_h + ky;
-          std::uint8_t* oline = oseg + (oz * oh + oy) * ow;
-          if (iy < 0 || iy >= h) {
-            std::memset(oline, pad, static_cast<std::size_t>(ow));
+          std::uint8_t* dst = rows + (kz * kh + ky) * line;
+          if (iz < 0 || iz >= d || iy < 0 || iy >= h) {
+            for (std::int64_t ox = 0; ox < ow; ++ox) {
+              fill_run(dst + ox * lda, pad, line);
+            }
             continue;
           }
-          lower_u8_line(vol + (iz * h + iy) * w, w, ow, stride_w, pad_w, kx,
-                        pad, oline);
-        }
-      }
-    }
-  });
-}
-
-namespace {
-
-#if defined(__x86_64__)
-// 16×16 byte-tile transpose: four unpack-butterfly stages (stride-8
-// pairing with doubling element width) land the transpose in identity row
-// order. SSE2 is the x86-64 baseline, so no dispatch is needed.
-inline void transpose16x16_u8(const std::uint8_t* src, std::int64_t src_ld,
-                              std::uint8_t* dst, std::int64_t dst_ld) {
-  __m128i x[16], y[16];
-  for (int i = 0; i < 16; ++i) {
-    x[i] = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(src + i * src_ld));
-  }
-  for (int s = 0; s < 2; ++s) {
-    for (int i = 0; i < 8; ++i) {
-      y[2 * i] = _mm_unpacklo_epi8(x[i], x[i + 8]);
-      y[2 * i + 1] = _mm_unpackhi_epi8(x[i], x[i + 8]);
-    }
-    for (int i = 0; i < 8; ++i) {
-      x[2 * i] = _mm_unpacklo_epi8(y[i], y[i + 8]);
-      x[2 * i + 1] = _mm_unpackhi_epi8(y[i], y[i + 8]);
-    }
-  }
-  for (int i = 0; i < 16; ++i) {
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i * dst_ld), x[i]);
-  }
-}
-#endif
-
-}  // namespace
-
-void transpose_u8_into(const std::uint8_t* a, std::int64_t rows,
-                       std::int64_t cols, std::uint8_t* out,
-                       std::int64_t row_stride) {
-  check(row_stride >= rows, "transpose_u8_into: row_stride < rows");
-  // 64×64 byte macro-tiles keep both streams L1-resident; inside, full
-  // 16×16 sub-tiles run the SIMD butterfly and the edges go scalar.
-  constexpr std::int64_t kTile = 64;
-  parallel_for_grain(cols, kTile, [&](std::int64_t c0, std::int64_t c1, int) {
-    for (std::int64_t ct = c0; ct < c1; ct += kTile) {
-      const std::int64_t cmax = std::min(c1, ct + kTile);
-      for (std::int64_t rt = 0; rt < rows; rt += kTile) {
-        const std::int64_t rmax = std::min(rows, rt + kTile);
-        std::int64_t c = ct;
-#if defined(__x86_64__)
-        for (; c + 16 <= cmax; c += 16) {
-          std::int64_t r = rt;
-          for (; r + 16 <= rmax; r += 16) {
-            transpose16x16_u8(a + r * cols + c, cols,
-                              out + c * row_stride + r, row_stride);
+          const std::uint8_t* src =
+              input + ((i * d + iz) * h + iy) * w * ld;
+          for (std::int64_t ox = ox_lo; ox < ox_hi; ++ox) {
+            copy_run(dst + ox * lda, src + (ox * stride_w - pad_w) * c, line);
           }
-          for (std::int64_t cc = c; cc < c + 16; ++cc) {
-            std::uint8_t* orow = out + cc * row_stride;
-            for (std::int64_t rr = r; rr < rmax; ++rr) {
-              orow[rr] = a[rr * cols + cc];
+          // Edge columns (and every column of a strided input): per tap.
+          const auto edge = [&](std::int64_t ox) {
+            for (int kx = 0; kx < kw; ++kx) {
+              const std::int64_t ix = ox * stride_w - pad_w + kx;
+              std::uint8_t* tap = dst + ox * lda + kx * c;
+              if (ix >= 0 && ix < w) {
+                copy_run(tap, src + ix * ld, c);
+              } else {
+                fill_run(tap, pad, c);
+              }
             }
-          }
-        }
-#endif
-        for (; c < cmax; ++c) {
-          std::uint8_t* orow = out + c * row_stride;
-          for (std::int64_t r = rt; r < rmax; ++r) {
-            orow[r] = a[r * cols + c];
-          }
+          };
+          for (std::int64_t ox = 0; ox < ox_lo; ++ox) edge(ox);
+          for (std::int64_t ox = ox_hi; ox < ow; ++ox) edge(ox);
         }
       }
-      if (row_stride > rows) {
-        for (std::int64_t c = ct; c < cmax; ++c) {
-          std::memset(out + c * row_stride + rows, 0,
-                      static_cast<std::size_t>(row_stride - rows));
+      if (lda > k) {
+        for (std::int64_t ox = 0; ox < ow; ++ox) {
+          fill_run(rows + ox * lda + k, 0, lda - k);
         }
       }
     }

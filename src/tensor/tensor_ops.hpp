@@ -256,36 +256,29 @@ void col2vol_batched_into(const float* columns, std::int64_t n,
                           int stride_w, int pad_d, int pad_h, int pad_w,
                           float* out);
 
-// ---- Quantised (uint8) lowering --------------------------------------------
+// ---- Channels-last (uint8) lowering ----------------------------------------
 //
-// The int8 conv path quantises the layer INPUT image once (N·C·H·W
-// elements) and lowers bytes instead of floats: the k²-fold duplication of
-// im2col then moves 4x less memory, and the subsequent A-operand transpose
-// is a byte transpose. Padding taps are filled with `pad` — the
-// activation zero point, which is exactly where 0.0 quantises (quant.hpp).
+// The int8 conv path runs channels-last: a layer quantises its
+// (N, [D,] H, W, C) input once and lowers BYTES straight into the
+// gemm_u8s8 A operand — one row per output position, its taps in
+// (kz, ky, kx, c) order — so the GEMM's output rows are already the next
+// layer's channels-last input and neither side needs a transpose. Padding
+// taps are filled with `pad`: the activation zero point, which is exactly
+// where 0.0 quantises (quant.hpp).
 
-/// uint8 im2col_batched (see im2col_batched_into); out-of-bounds taps read
-/// as `pad`.
-void im2col_batched_u8_into(const std::uint8_t* input, std::int64_t n,
-                            std::int64_t c, std::int64_t h, std::int64_t w,
-                            int kh, int kw, int stride_h, int stride_w,
-                            int pad_h, int pad_w, std::uint8_t pad,
-                            std::uint8_t* out);
-
-/// uint8 vol2col_batched (see vol2col_batched_into).
-void vol2col_batched_u8_into(const std::uint8_t* input, std::int64_t n,
-                             std::int64_t c, std::int64_t d, std::int64_t h,
-                             std::int64_t w, int kd, int kh, int kw,
-                             int stride_d, int stride_h, int stride_w,
-                             int pad_d, int pad_h, int pad_w, std::uint8_t pad,
-                             std::uint8_t* out);
-
-/// Byte transpose: out (cols × row_stride) = aᵀ for a (rows × cols), each
-/// output row zero-filled from `rows` to `row_stride` (the GEMM
-/// k-alignment tail). Tiled and pool-parallel.
-void transpose_u8_into(const std::uint8_t* a, std::int64_t rows,
-                       std::int64_t cols, std::uint8_t* out,
-                       std::int64_t row_stride);
+/// Channels-last lowering, 3-D and (d = kd = 1) 2-D. `input` holds n·d·h·w
+/// positions of `c` bytes at position stride `ld` >= c. Row
+/// r = ((i·od + oz)·oh + oy)·ow + ox of `out` (row stride
+/// `lda` >= kd·kh·kw·c) receives the patch of output position
+/// (i, oz, oy, ox): byte ((kz·kh + ky)·kw + kx)·c + ch is input
+/// (i, oz·stride_d − pad_d + kz, …, ch), or `pad` when out of bounds.
+/// Bytes [kd·kh·kw·c, lda) are zeroed. Pool-parallel over output lines.
+void vol2row_u8_into(const std::uint8_t* input, std::int64_t ld,
+                     std::int64_t n, std::int64_t c, std::int64_t d,
+                     std::int64_t h, std::int64_t w, int kd, int kh, int kw,
+                     int stride_d, int stride_h, int stride_w, int pad_d,
+                     int pad_h, int pad_w, std::uint8_t pad, std::uint8_t* out,
+                     std::int64_t lda);
 
 // ---- Batch/channel-major reordering ----------------------------------------
 

@@ -1,8 +1,12 @@
 // Tests for bicubic interpolation: exactness on constant and linear fields,
-// smoothness, and the SuperResolver plumbing (incl. the Uniform baseline).
+// bitwise equality with the reference element-accessor loops, smoothness,
+// and the SuperResolver plumbing (incl. the Uniform baseline).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <utility>
 
 #include "src/baselines/bicubic.hpp"
 #include "src/baselines/super_resolver.hpp"
@@ -67,6 +71,135 @@ TEST(Bicubic, AdjointInnerProductIdentity) {
     rhs += static_cast<double>(x.flat(i)) * bty.flat(i);
   }
   EXPECT_NEAR(lhs, rhs, 1e-3);
+}
+
+// Reference implementations: the element-accessor loops bicubic_upsample
+// and its adjoint were first written as. The production versions hoist the
+// per-column taps and index raw rows, and must match these bit for bit.
+float ref_cubic_kernel(float x) {
+  x = std::abs(x);
+  if (x <= 1.f) {
+    return 1.5f * x * x * x - 2.5f * x * x + 1.f;
+  }
+  if (x < 2.f) {
+    return -0.5f * x * x * x + 2.5f * x * x - 4.f * x + 2.f;
+  }
+  return 0.f;
+}
+
+float ref_sample_clamped(const Tensor& grid, std::int64_t r, std::int64_t c) {
+  r = std::clamp<std::int64_t>(r, 0, grid.dim(0) - 1);
+  c = std::clamp<std::int64_t>(c, 0, grid.dim(1) - 1);
+  return grid.at(r, c);
+}
+
+Tensor ref_bicubic_upsample(const Tensor& coarse, int factor) {
+  const std::int64_t h = coarse.dim(0), w = coarse.dim(1);
+  const std::int64_t oh = h * factor, ow = w * factor;
+  Tensor out(Shape{oh, ow});
+  const float inv = 1.f / static_cast<float>(factor);
+  for (std::int64_t r = 0; r < oh; ++r) {
+    const float v = (static_cast<float>(r) + 0.5f) * inv - 0.5f;
+    const auto v0 = static_cast<std::int64_t>(std::floor(v));
+    const float fv = v - static_cast<float>(v0);
+    float wr[4];
+    for (int i = 0; i < 4; ++i) {
+      wr[i] = ref_cubic_kernel(fv - static_cast<float>(i - 1));
+    }
+    for (std::int64_t c = 0; c < ow; ++c) {
+      const float u = (static_cast<float>(c) + 0.5f) * inv - 0.5f;
+      const auto u0 = static_cast<std::int64_t>(std::floor(u));
+      const float fu = u - static_cast<float>(u0);
+      float wc[4];
+      for (int i = 0; i < 4; ++i) {
+        wc[i] = ref_cubic_kernel(fu - static_cast<float>(i - 1));
+      }
+      float acc = 0.f;
+      for (int i = 0; i < 4; ++i) {
+        for (int j = 0; j < 4; ++j) {
+          acc += wr[i] * wc[j] *
+                 ref_sample_clamped(coarse, v0 - 1 + i, u0 - 1 + j);
+        }
+      }
+      out.at(r, c) = acc;
+    }
+  }
+  return out;
+}
+
+Tensor ref_bicubic_upsample_adjoint(const Tensor& grad_fine, int factor) {
+  const std::int64_t oh = grad_fine.dim(0), ow = grad_fine.dim(1);
+  const std::int64_t h = oh / factor, w = ow / factor;
+  Tensor out(Shape{h, w});
+  const float inv = 1.f / static_cast<float>(factor);
+  for (std::int64_t r = 0; r < oh; ++r) {
+    const float v = (static_cast<float>(r) + 0.5f) * inv - 0.5f;
+    const auto v0 = static_cast<std::int64_t>(std::floor(v));
+    const float fv = v - static_cast<float>(v0);
+    float wr[4];
+    for (int i = 0; i < 4; ++i) {
+      wr[i] = ref_cubic_kernel(fv - static_cast<float>(i - 1));
+    }
+    for (std::int64_t c = 0; c < ow; ++c) {
+      const float u = (static_cast<float>(c) + 0.5f) * inv - 0.5f;
+      const auto u0 = static_cast<std::int64_t>(std::floor(u));
+      const float fu = u - static_cast<float>(u0);
+      const float g = grad_fine.at(r, c);
+      if (g == 0.f) continue;
+      for (int i = 0; i < 4; ++i) {
+        const std::int64_t rr =
+            std::clamp<std::int64_t>(v0 - 1 + i, 0, h - 1);
+        for (int j = 0; j < 4; ++j) {
+          const std::int64_t cc =
+              std::clamp<std::int64_t>(u0 - 1 + j, 0, w - 1);
+          out.at(rr, cc) +=
+              g * wr[i] * ref_cubic_kernel(fu - static_cast<float>(j - 1));
+        }
+      }
+    }
+  }
+  return out;
+}
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.size()) * sizeof(float)) == 0;
+}
+
+TEST(Bicubic, BitwiseEqualToReferenceLoops) {
+  Rng rng(74);
+  // Non-square grids, including single rows/columns where every tap
+  // clamps, at every integer factor 1-5.
+  const std::pair<std::int64_t, std::int64_t> grids[] = {
+      {5, 7}, {7, 5}, {1, 6}, {4, 1}, {3, 11}};
+  for (const auto& [h, w] : grids) {
+    for (int factor = 1; factor <= 5; ++factor) {
+      const Tensor coarse = Tensor::uniform(Shape{h, w}, rng, -3.f, 7.f);
+      EXPECT_TRUE(bitwise_equal(bicubic_upsample(coarse, factor),
+                                ref_bicubic_upsample(coarse, factor)))
+          << h << "x" << w << " factor " << factor;
+      Tensor grad = Tensor::randn(Shape{h * factor, w * factor}, rng);
+      grad.flat(0) = 0.f;  // the adjoint skips zero cotangents
+      EXPECT_TRUE(bitwise_equal(bicubic_upsample_adjoint(grad, factor),
+                                ref_bicubic_upsample_adjoint(grad, factor)))
+          << "adjoint " << h << "x" << w << " factor " << factor;
+    }
+  }
+}
+
+TEST(Bicubic, AccumulatingFormAddsTheUpsampledGrid) {
+  // The raw form ZipNet's residual base uses: out += upsample(coarse),
+  // per element the same sum as adding the returned grid.
+  Rng rng(75);
+  const Tensor coarse = Tensor::uniform(Shape{5, 6}, rng, 0.f, 4.f);
+  const Tensor base = Tensor::uniform(Shape{20, 24}, rng, -1.f, 1.f);
+  Tensor want = base;
+  want.add_(bicubic_upsample(coarse, 4));
+  Tensor got = base;
+  bicubic_upsample_into(coarse.data(), 5, 6, 4, got.data(),
+                        /*accumulate=*/true);
+  EXPECT_TRUE(bitwise_equal(got, want));
 }
 
 TEST(Bicubic, SmootherThanUniformOnSmoothFields) {

@@ -1,9 +1,10 @@
 // Tests for the int8 inference path: quantise/dequantise round-trip error
-// bounds, gemm_u8s8 bit-exactness against the scalar s32 reference across
-// pool sizes, BatchNorm-fold parity against the unfused float stack,
+// bounds, the channels-last byte lowering, gemm_u8s8 bit-exactness against
+// the scalar s32 reference across pool sizes, BatchNorm-fold parity of the
+// channels-last layers against the unfused float stack,
 // ZipNetInt8 conversion fidelity, int8 serving interchangeability with the
-// float model (NRMSE), and the zero-arena-growth steady-state contract for
-// int8 sessions.
+// float model (NRMSE), the zero-arena-growth steady-state contract for
+// int8 sessions, and pinned output digests of the int8 and float models.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -100,82 +101,123 @@ TEST(Quant, WeightRoundTripPerChannel) {
   }
 }
 
-TEST(Quant, QuantizeTransposeMatchesElementwise) {
+TEST(Quant, QuantizeRowsMatchesElementwise) {
   Rng rng(13);
-  const std::int64_t rows = 23, cols = 41;
-  Tensor m = Tensor::uniform(Shape{rows, cols}, rng, -2.f, 2.f);
+  const std::int64_t rows = 23, cols = 5, ldx = 16;
+  Tensor m = Tensor::uniform(Shape{rows, ldx}, rng, -2.f, 2.f);
   const quant::ActQuant aq = quant::choose_act_quant(-2.f, 2.f);
-  const std::int64_t stride = (rows + 3) / 4 * 4;
-  std::vector<std::uint8_t> out(static_cast<std::size_t>(cols * stride),
-                                0xEE);
-  quant::quantize_transpose_u8(m.data(), rows, cols, aq, out.data(), stride);
-  for (std::int64_t c = 0; c < cols; ++c) {
+  // Strided source rows (ldx > cols) into both a packed (ldo = cols) and a
+  // k-aligned (ldo = 8) destination.
+  for (const std::int64_t ldo : {cols, std::int64_t{8}}) {
+    std::vector<std::uint8_t> out(static_cast<std::size_t>(rows * ldo), 0xEE);
+    quant::quantize_rows_u8(m.data(), rows, cols, ldx, aq, out.data(), ldo);
     for (std::int64_t r = 0; r < rows; ++r) {
-      EXPECT_EQ(out[static_cast<std::size_t>(c * stride + r)],
-                quant::quantize_value(m.flat(r * cols + c), aq));
-    }
-    for (std::int64_t r = rows; r < stride; ++r) {
-      EXPECT_EQ(out[static_cast<std::size_t>(c * stride + r)], 0);
-    }
-  }
-}
-
-TEST(Quant, ByteLoweringMatchesQuantisedFloatLowering) {
-  Rng rng(24);
-  const std::int64_t n = 2, c = 3, h = 7, w = 9;
-  Tensor input = Tensor::uniform(Shape{n, c, h, w}, rng, -1.f, 3.f);
-  const quant::ActQuant aq = quant::choose_act_quant(-1.f, 3.f);
-  // Quantise-then-lower must equal lower-then-quantise: padding taps are
-  // 0.0 in the float lowering and the zero point in the byte lowering.
-  const Tensor fcols = im2col_batched(input, 3, 3, 1, 1, 1, 1);
-  std::vector<std::uint8_t> qin(static_cast<std::size_t>(input.size()));
-  quant::quantize_u8(input.data(), input.size(), aq, qin.data());
-  std::vector<std::uint8_t> qcols(static_cast<std::size_t>(fcols.size()));
-  im2col_batched_u8_into(qin.data(), n, c, h, w, 3, 3, 1, 1, 1, 1,
-                         static_cast<std::uint8_t>(aq.zero_point),
-                         qcols.data());
-  for (std::int64_t i = 0; i < fcols.size(); ++i) {
-    ASSERT_EQ(qcols[static_cast<std::size_t>(i)],
-              quant::quantize_value(fcols.flat(i), aq))
-        << "at " << i;
-  }
-  // Same contract for the 3-D lowering (stride 2 exercises the generic
-  // non-unit-stride line path).
-  Tensor vol = Tensor::uniform(Shape{n, c, 3, h, w}, rng, -1.f, 3.f);
-  const Tensor fvol = vol2col_batched(vol, 3, 3, 3, 1, 2, 2, 1, 1, 1);
-  std::vector<std::uint8_t> qvol(static_cast<std::size_t>(vol.size()));
-  quant::quantize_u8(vol.data(), vol.size(), aq, qvol.data());
-  std::vector<std::uint8_t> qvcols(static_cast<std::size_t>(fvol.size()));
-  vol2col_batched_u8_into(qvol.data(), n, c, 3, h, w, 3, 3, 3, 1, 2, 2, 1, 1,
-                          1, static_cast<std::uint8_t>(aq.zero_point),
-                          qvcols.data());
-  for (std::int64_t i = 0; i < fvol.size(); ++i) {
-    ASSERT_EQ(qvcols[static_cast<std::size_t>(i)],
-              quant::quantize_value(fvol.flat(i), aq))
-        << "vol at " << i;
-  }
-}
-
-TEST(Quant, ByteTransposeMatchesNaive) {
-  Rng rng(25);
-  // Sizes straddle the 16×16 SIMD tile and the 64-byte macro tile.
-  for (const auto& [rows, cols] : std::vector<std::pair<std::int64_t,
-                                                        std::int64_t>>{
-           {16, 16}, {64, 64}, {17, 33}, {65, 130}, {1, 5}, {130, 3}}) {
-    std::vector<std::uint8_t> src(static_cast<std::size_t>(rows * cols));
-    for (auto& v : src) v = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    const std::int64_t stride = (rows + 3) / 4 * 4;
-    std::vector<std::uint8_t> dst(static_cast<std::size_t>(cols * stride),
-                                  0xAB);
-    transpose_u8_into(src.data(), rows, cols, dst.data(), stride);
-    for (std::int64_t c = 0; c < cols; ++c) {
-      for (std::int64_t r = 0; r < rows; ++r) {
-        ASSERT_EQ(dst[static_cast<std::size_t>(c * stride + r)],
-                  src[static_cast<std::size_t>(r * cols + c)])
-            << rows << "x" << cols << " at (" << r << "," << c << ")";
+      for (std::int64_t c = 0; c < cols; ++c) {
+        EXPECT_EQ(out[static_cast<std::size_t>(r * ldo + c)],
+                  quant::quantize_value(m.flat(r * ldx + c), aq));
       }
-      for (std::int64_t r = rows; r < stride; ++r) {
-        ASSERT_EQ(dst[static_cast<std::size_t>(c * stride + r)], 0);
+      for (std::int64_t c = cols; c < ldo; ++c) {
+        EXPECT_EQ(out[static_cast<std::size_t>(r * ldo + c)], 0);
+      }
+    }
+  }
+}
+
+// Geometry of one channels-last lowering case.
+struct RowCase {
+  std::int64_t n, c, ld, d, h, w;
+  int kd, kh, kw, sd, sh, sw, pd, ph, pw;
+};
+
+TEST(Quant, RowLoweringMatchesIndexFormula) {
+  Rng rng(25);
+  // Padding on every axis, stride 2, a strided (ld > C) input, a 2-D
+  // (d = kd = 1) case and a depth-collapsing (kd = d, no depth padding)
+  // case like ZipNet's entry conv.
+  const RowCase cases[] = {{2, 3, 3, 3, 7, 9, 3, 3, 3, 1, 1, 1, 1, 1, 1},
+                           {2, 3, 5, 3, 7, 9, 3, 3, 3, 1, 2, 2, 1, 1, 1},
+                           {1, 4, 16, 1, 6, 5, 1, 3, 3, 1, 1, 1, 0, 1, 1},
+                           {2, 4, 16, 3, 5, 5, 3, 3, 3, 1, 1, 1, 0, 1, 1},
+                           {1, 1, 1, 1, 9, 8, 1, 5, 5, 1, 2, 1, 0, 2, 2}};
+  const std::uint8_t pad = 77;
+  for (const RowCase& g : cases) {
+    std::vector<std::uint8_t> in(static_cast<std::size_t>(g.n * g.d * g.h *
+                                                          g.w * g.ld));
+    for (auto& v : in) v = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    const std::int64_t od = (g.d + 2 * g.pd - g.kd) / g.sd + 1;
+    const std::int64_t oh = (g.h + 2 * g.ph - g.kh) / g.sh + 1;
+    const std::int64_t ow = (g.w + 2 * g.pw - g.kw) / g.sw + 1;
+    const std::int64_t k = g.kd * g.kh * g.kw * g.c;
+    const std::int64_t lda = (k + 3) / 4 * 4 + 4;
+    const std::int64_t m = g.n * od * oh * ow;
+    std::vector<std::uint8_t> out(static_cast<std::size_t>(m * lda), 0xAB);
+    vol2row_u8_into(in.data(), g.ld, g.n, g.c, g.d, g.h, g.w, g.kd, g.kh,
+                    g.kw, g.sd, g.sh, g.sw, g.pd, g.ph, g.pw, pad, out.data(),
+                    lda);
+    for (std::int64_t r = 0; r < m; ++r) {
+      const std::int64_t ox = r % ow, oy = (r / ow) % oh,
+                         oz = (r / (ow * oh)) % od, i = r / (ow * oh * od);
+      for (std::int64_t kz = 0; kz < g.kd; ++kz) {
+        for (std::int64_t ky = 0; ky < g.kh; ++ky) {
+          for (std::int64_t kx = 0; kx < g.kw; ++kx) {
+            const std::int64_t iz = oz * g.sd - g.pd + kz;
+            const std::int64_t iy = oy * g.sh - g.ph + ky;
+            const std::int64_t ix = ox * g.sw - g.pw + kx;
+            const bool inside = iz >= 0 && iz < g.d && iy >= 0 &&
+                                iy < g.h && ix >= 0 && ix < g.w;
+            for (std::int64_t ch = 0; ch < g.c; ++ch) {
+              const std::uint8_t want =
+                  inside ? in[static_cast<std::size_t>(
+                               (((i * g.d + iz) * g.h + iy) * g.w + ix) *
+                                   g.ld +
+                               ch)]
+                         : pad;
+              const std::int64_t col =
+                  ((kz * g.kh + ky) * g.kw + kx) * g.c + ch;
+              ASSERT_EQ(out[static_cast<std::size_t>(r * lda + col)], want)
+                  << "row " << r << " col " << col;
+            }
+          }
+        }
+      }
+      for (std::int64_t col = k; col < lda; ++col) {
+        ASSERT_EQ(out[static_cast<std::size_t>(r * lda + col)], 0);
+      }
+    }
+  }
+}
+
+TEST(Quant, RowLoweringMatchesQuantisedFloatLowering) {
+  Rng rng(24);
+  const std::int64_t n = 2, c = 3, d = 3, h = 7, w = 9;
+  const quant::ActQuant aq = quant::choose_act_quant(-1.f, 3.f);
+  // Quantise-then-lower must equal lower-then-quantise against the NCHW
+  // float lowering: padding taps are 0.0 there and the zero point here,
+  // and column (c, t) of the float layout is byte t·C + c of a row.
+  Tensor vol = Tensor::uniform(Shape{n, c, d, h, w}, rng, -1.f, 3.f);
+  const Tensor fcols = vol2col_batched(vol, 3, 3, 3, 1, 2, 2, 1, 1, 1);
+  // The channels-last copy of the input, quantised.
+  const std::int64_t inner = d * h * w;
+  std::vector<std::uint8_t> qin(static_cast<std::size_t>(vol.size()));
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t ch = 0; ch < c; ++ch) {
+      for (std::int64_t p = 0; p < inner; ++p) {
+        qin[static_cast<std::size_t>((i * inner + p) * c + ch)] =
+            quant::quantize_value(vol.flat((i * c + ch) * inner + p), aq);
+      }
+    }
+  }
+  const std::int64_t taps = 27, m = fcols.dim(1), lda = (c * taps + 3) / 4 * 4;
+  std::vector<std::uint8_t> rows(static_cast<std::size_t>(m * lda));
+  vol2row_u8_into(qin.data(), c, n, c, d, h, w, 3, 3, 3, 1, 2, 2, 1, 1, 1,
+                  static_cast<std::uint8_t>(aq.zero_point), rows.data(), lda);
+  for (std::int64_t r = 0; r < m; ++r) {
+    for (std::int64_t ch = 0; ch < c; ++ch) {
+      for (std::int64_t t = 0; t < taps; ++t) {
+        ASSERT_EQ(rows[static_cast<std::size_t>(r * lda + t * c + ch)],
+                  quant::quantize_value(fcols.flat((ch * taps + t) * m + r),
+                                        aq))
+            << "row " << r << " channel " << ch << " tap " << t;
       }
     }
   }
@@ -238,13 +280,12 @@ TEST(GemmU8S8, DequantisedProductTracksFloatGemm) {
   Tensor af = Tensor::uniform(Shape{m, k}, rng, -1.f, 3.f);
   Tensor bf = Tensor::randn(Shape{k, n}, rng, 0.5f);
 
-  // Quantise A per tensor (transposed source to exercise the production
-  // path) and B per column.
+  // Quantise A per tensor (rows widened to the k-alignment, as the
+  // layers do) and B per column.
   const quant::ActQuant aq = quant::choose_act_quant(-1.f, 3.f);
   const std::int64_t kpad = (k + 3) / 4 * 4;
-  Tensor at = transpose(af);  // (k, m) so quantize_transpose yields (m, kpad)
   std::vector<std::uint8_t> a8(static_cast<std::size_t>(m * kpad));
-  quant::quantize_transpose_u8(at.data(), k, m, aq, a8.data(), kpad);
+  quant::quantize_rows_u8(af.data(), m, k, k, aq, a8.data(), kpad);
 
   Tensor bt = transpose(bf);  // (n, k): per-"channel" rows
   std::vector<std::int8_t> wq(static_cast<std::size_t>(n * k));
@@ -362,12 +403,33 @@ TEST(GemmU8S8, ForcedKernelSweepBitExactInBothRanges) {
 
 // ---- quantised layers: BatchNorm-fold parity -------------------------------
 
+// Exact per-sample relayout from the float layers' NCHW / NCDHW to the
+// quantised layers' channels-last (N, [D,] H, W, C).
+Tensor to_channels_last(const Tensor& x) {
+  const std::int64_t n = x.dim(0), c = x.dim(1), inner = x.size() / (n * c);
+  std::vector<std::int64_t> dims{n};
+  for (int i = 2; i < x.rank(); ++i) dims.push_back(x.dim(i));
+  dims.push_back(c);
+  Tensor out{Shape(dims)};
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t ch = 0; ch < c; ++ch) {
+      for (std::int64_t p = 0; p < inner; ++p) {
+        out.flat((i * inner + p) * c + ch) = x.flat((i * c + ch) * inner + p);
+      }
+    }
+  }
+  return out;
+}
+
 // Runs a few training steps so BatchNorm's running statistics diverge from
-// their initial values, then compares the folded calibration path against
-// the unfused float [conv → BN → LeakyReLU] stack in inference mode.
+// their initial values, then compares the folded calibration path — fed
+// the channels-last copy of the input — against the unfused float
+// [conv → BN → LeakyReLU] stack in inference mode. `to_quant_layout` maps
+// the float layer's input onto the quantised layer's.
 template <typename Conv, typename MakeInput>
 void expect_fold_parity(Conv& conv, nn::BatchNorm& bn, float alpha,
-                        MakeInput&& make_input, auto&& build_quant) {
+                        MakeInput&& make_input, auto&& build_quant,
+                        auto&& to_quant_layout) {
   Rng rng(16);
   nn::LeakyReLU lrelu(alpha);
   for (int step = 0; step < 3; ++step) {
@@ -378,17 +440,19 @@ void expect_fold_parity(Conv& conv, nn::BatchNorm& bn, float alpha,
   auto quantised = build_quant(conv, bn, alpha);
 
   Tensor x = make_input(rng);
+  const Tensor xq = to_quant_layout(x);
   Tensor want;
   {
     Workspace::Scope scope(Workspace::tls());
-    want = lrelu.forward(bn.forward(conv.forward(x, false), false), false);
+    want = to_channels_last(
+        lrelu.forward(bn.forward(conv.forward(x, false), false), false));
   }
   Tensor got;
   {
     Workspace::Scope scope(Workspace::tls());
-    got = quantised->forward_calibrate(x);
+    got = quantised->forward_calibrate(xq);
   }
-  ASSERT_EQ(want.shape(), got.shape());
+  ASSERT_EQ(want.size(), got.size());
   for (std::int64_t i = 0; i < want.size(); ++i) {
     ASSERT_NEAR(want.flat(i), got.flat(i), 1e-4)
         << "BN-fold parity failed at " << i;
@@ -400,9 +464,9 @@ void expect_fold_parity(Conv& conv, nn::BatchNorm& bn, float alpha,
   Tensor q8;
   {
     Workspace::Scope scope(Workspace::tls());
-    q8 = quantised->forward(x);
+    q8 = quantised->forward(xq);
   }
-  ASSERT_EQ(want.shape(), q8.shape());
+  ASSERT_EQ(got.shape(), q8.shape());
   double num = 0.0, den = 0.0;
   for (std::int64_t i = 0; i < want.size(); ++i) {
     num += (want.flat(i) - q8.flat(i)) * (want.flat(i) - q8.flat(i));
@@ -422,7 +486,8 @@ TEST(QuantLayers, Conv2dFoldParityAndInt8Accuracy) {
       [](Rng& r) { return Tensor::randn(Shape{2, 5, 9, 9}, r); },
       [](const nn::Conv2d& c, const nn::BatchNorm& b, float a) {
         return std::make_unique<nn::QuantConv2d>(c, &b, a);
-      });
+      },
+      to_channels_last);
 }
 
 TEST(QuantLayers, Conv3dFoldParityAndInt8Accuracy) {
@@ -434,18 +499,28 @@ TEST(QuantLayers, Conv3dFoldParityAndInt8Accuracy) {
       [](Rng& r) { return Tensor::randn(Shape{2, 3, 3, 7, 7}, r); },
       [](const nn::Conv3d& c, const nn::BatchNorm& b, float a) {
         return std::make_unique<nn::QuantConv3d>(c, &b, a);
-      });
+      },
+      to_channels_last);
 }
 
-TEST(QuantLayers, ConvTranspose2dFoldParityAndInt8Accuracy) {
-  Rng rng(19);
-  nn::ConvTranspose2d deconv(4, 3, 4, 2, 1, rng);
-  nn::BatchNorm bn(3);
+TEST(QuantLayers, CollapseConvMatchesConv2dOverStackedChannels) {
+  // ZipNet's entry conv: a Conv2d over C·S stacked maps (channel c·S + s)
+  // run as a depth-S 3-D conv over the (N, S, H, W, C) stage output.
+  Rng rng(21);
+  const std::int64_t c = 4, s = 3;
+  nn::Conv2d conv(c * s, 6, 3, 1, 1, rng);
+  nn::BatchNorm bn(6);
   expect_fold_parity(
-      deconv, bn, 0.1f,
-      [](Rng& r) { return Tensor::randn(Shape{2, 4, 6, 6}, r); },
-      [](const nn::ConvTranspose2d& c, const nn::BatchNorm& b, float a) {
-        return std::make_unique<nn::QuantConvTranspose2d>(c, &b, a);
+      conv, bn, 0.1f,
+      [](Rng& r) { return Tensor::randn(Shape{2, c * s, 6, 5}, r); },
+      [](const nn::Conv2d& cv, const nn::BatchNorm& b, float a) {
+        return std::make_unique<nn::QuantConv3d>(cv, &b, a,
+                                                 static_cast<int>(s));
+      },
+      [](const Tensor& x) {
+        // (N, C·S, H, W) is (N, C, S, H, W) in memory.
+        return to_channels_last(
+            x.reshape(Shape{x.dim(0), c, s, x.dim(2), x.dim(3)}));
       });
 }
 
@@ -458,35 +533,8 @@ TEST(QuantLayers, ConvTranspose3dFoldParityAndInt8Accuracy) {
       [](Rng& r) { return Tensor::randn(Shape{2, 3, 3, 5, 5}, r); },
       [](const nn::ConvTranspose3d& c, const nn::BatchNorm& b, float a) {
         return std::make_unique<nn::QuantConvTranspose3d>(c, &b, a);
-      });
-}
-
-TEST(QuantLayers, DenseInt8TracksFloat) {
-  Rng rng(21);
-  nn::Dense dense(34, 11, rng);
-  nn::QuantDense quantised(dense);
-  Tensor x = Tensor::randn(Shape{6, 34}, rng);
-  Tensor want;
-  {
-    Workspace::Scope scope(Workspace::tls());
-    want = quantised.forward_calibrate(x);
-    // The calibration path reproduces the float layer itself.
-    Tensor direct = dense.forward(x, false);
-    for (std::int64_t i = 0; i < want.size(); ++i) {
-      ASSERT_NEAR(want.flat(i), direct.flat(i), 1e-4);
-    }
-  }
-  quantised.freeze();
-  EXPECT_TRUE(quantised.frozen());
-  Tensor got;
-  {
-    Workspace::Scope scope(Workspace::tls());
-    got = quantised.forward(x);
-  }
-  ASSERT_EQ(want.shape(), got.shape());
-  for (std::int64_t i = 0; i < want.size(); ++i) {
-    EXPECT_NEAR(want.flat(i), got.flat(i), 0.15f);
-  }
+      },
+      to_channels_last);
 }
 
 TEST(QuantLayers, FreezeRequiresCalibration) {
@@ -494,7 +542,7 @@ TEST(QuantLayers, FreezeRequiresCalibration) {
   nn::Conv2d conv(2, 2, 3, 1, 1, rng);
   nn::QuantConv2d quantised(conv, nullptr);
   EXPECT_THROW(quantised.freeze(), ContractViolation);
-  Tensor x = Tensor::randn(Shape{1, 2, 5, 5}, rng);
+  Tensor x = Tensor::randn(Shape{1, 5, 5, 2}, rng);
   EXPECT_THROW((void)quantised.forward(x), ContractViolation);
   {
     Workspace::Scope scope(Workspace::tls());
@@ -770,6 +818,175 @@ TEST(SrcnnInt8, ServingNrmseWithinTwoPercentOfFloat) {
   // 2% relative of the float SRCNN baseline.
   EXPECT_LE(std::fabs(nrmse_int8 - nrmse_float), 0.02 * nrmse_float)
       << "float NRMSE " << nrmse_float << " vs int8 " << nrmse_int8;
+}
+
+// ---- pinned output digests -------------------------------------------------
+//
+// The int8 generator, the int8 SRCNN and the float generator must stay
+// bitwise stable across refactors of the lowering, layout and epilogue
+// code (s32 accumulation is exact, so any such refactor can keep every
+// bit). The digests below were recorded from the NCHW implementation;
+// they must hold for every pool size and every SIMD level.
+
+// FNV-1a over the raw float bytes: any changed output bit moves it.
+std::uint64_t fnv1a64(const Tensor& t) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto* p = reinterpret_cast<const unsigned char*>(t.data());
+  const auto bytes = static_cast<std::size_t>(t.size()) * sizeof(float);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// splitmix64 → 24-bit uniform floats: no <random> distribution and no
+// libm call, so the seeded values are identical on every host.
+struct PortableRng {
+  std::uint64_t state;
+  float next(float lo, float hi) {
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    z ^= z >> 31;
+    return lo + (hi - lo) * (static_cast<float>(z >> 40) * 0x1p-24f);
+  }
+  void fill(Tensor& t, float lo, float hi) {
+    for (std::int64_t i = 0; i < t.size(); ++i) t.flat(i) = next(lo, hi);
+  }
+  Tensor tensor(Shape shape, float lo, float hi) {
+    Tensor t(std::move(shape));
+    fill(t, lo, hi);
+    return t;
+  }
+};
+
+// Overwrites every parameter (and BatchNorm statistic) with portable
+// seeded values: weights at ±1/√fan_in, biases small, BN gains near 1.
+void fill_portable(const std::vector<nn::Parameter*>& params,
+                   const std::vector<std::pair<std::string, Tensor*>>& buffers,
+                   PortableRng& rng) {
+  for (nn::Parameter* p : params) {
+    Tensor& v = p->value;
+    if (p->name.find("gamma") != std::string::npos) {
+      rng.fill(v, 0.5f, 1.5f);
+    } else if (v.rank() >= 2) {
+      const float a =
+          1.f / std::sqrt(static_cast<float>(v.size() / v.dim(0)));
+      rng.fill(v, -a, a);
+    } else {
+      rng.fill(v, -0.1f, 0.1f);
+    }
+  }
+  for (const auto& [name, t] : buffers) {
+    if (name.find("var") != std::string::npos) {
+      rng.fill(*t, 0.5f, 2.f);
+    } else {
+      rng.fill(*t, -0.1f, 0.1f);
+    }
+  }
+}
+
+// Whether the float GEMM's small-k / NT block kernels run their avx512f
+// target_clones build, the one that contracts a·b + c into FMA. Mirrors the
+// MTSR_SIMD_CLONES condition in tensor_ops.cpp: sanitizer builds compile
+// those kernels once for the baseline ISA.
+bool block_kernels_fma() {
+#if defined(__x86_64__) && defined(__GNUC__) && \
+    !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+  return __builtin_cpu_supports("avx512f");
+#else
+  return false;
+#endif
+}
+
+TEST(OutputDigest, ZipNetFloatAndInt8ArePinned) {
+  // The serving geometry of the benchmark: window 20 at up-4, S = 3. The
+  // bare network (no residual base) pins the layer stack at full
+  // sensitivity; the bicubic base pins the serving configuration.
+  std::uint64_t int8_digest = 0, float_digest = 0, calibrate_digest = 0;
+  PortableRng rng{1307};
+  for (const auto base : {core::ZipNetConfig::ResidualBase::kNone,
+                          core::ZipNetConfig::ResidualBase::kBicubic}) {
+    core::ZipNetConfig config;
+    config.temporal_length = 3;
+    config.upscale_factors = {2, 2};
+    config.base_channels = 4;
+    config.zipper_modules = 4;
+    config.zipper_channels = 16;
+    config.final_channels = 12;
+    config.residual_base = base;
+    Rng init(5);
+    core::ZipNet generator(config, init);
+    fill_portable(generator.parameters(), generator.buffers(), rng);
+
+    // ZipNetInt8::convert, spelled out so the calibration outputs (the
+    // float path behind the layers' interface) are pinned too.
+    auto net = std::make_unique<core::ZipNetInt8>(generator);
+    for (int i = 0; i < 3; ++i) {
+      const Tensor batch = rng.tensor(Shape{2, 3, 5, 5}, -1.f, 3.f);
+      Workspace::Scope scope(Workspace::tls());
+      calibrate_digest =
+          calibrate_digest * 31 + fnv1a64(net->forward_calibrate(batch));
+    }
+    net->freeze();
+    for (const std::int64_t batch : {1, 2, 4}) {
+      const Tensor x = rng.tensor(Shape{batch, 3, 5, 5}, -1.f, 3.f);
+      Workspace::Scope scope(Workspace::tls());
+      const Tensor q = net->forward(x);
+      const Tensor f = generator.forward(x, false);
+      ASSERT_EQ(q.shape(), Shape({batch, 20, 20}));
+      ASSERT_EQ(f.shape(), q.shape());
+      int8_digest = int8_digest * 31 + fnv1a64(q);
+      float_digest = float_digest * 31 + fnv1a64(f);
+    }
+  }
+  // The float path rounds two ways per kernel: the panel kernel is the
+  // portable mul + add one or an FMA one, and the small-k / NT block
+  // kernels contract to FMA only in their avx512f target_clones build. The
+  // int8 digest inherits the difference through the calibrated ranges, so
+  // each of the four combinations has its own recorded digests.
+  const bool generic = std::string(matmul_kernel_name()) == "generic";
+  const bool fma_blocks = block_kernels_fma();
+  const std::uint64_t want[2][2][3] = {
+      // {int8, float, calibrate}: [fma_blocks][generic]
+      {{0x2ff29b39c47bb71eull, 0x27fb42fd598c8fe0ull, 0xb1fc75c6bad3cd99ull},
+       {0x784b1cf0b870793full, 0x33020fb76a5d0ee5ull, 0x16111a9737bc17c4ull}},
+      {{0xb0b9e815171f70faull, 0xb6a0b18c3ea0e900ull, 0x62f0af2a6b4a078aull},
+       {0x784b1cf0b870793full, 0x000c4591029a8400ull, 0xfd65c15a9cbc95f5ull}}};
+  const std::uint64_t* expect = want[fma_blocks][generic];
+  EXPECT_EQ(int8_digest, expect[0]) << std::hex << int8_digest;
+  EXPECT_EQ(float_digest, expect[1]) << std::hex << float_digest;
+  EXPECT_EQ(calibrate_digest, expect[2]) << std::hex << calibrate_digest;
+}
+
+TEST(OutputDigest, SrcnnInt8IsPinned) {
+  PortableRng rng{2311};
+  std::vector<Tensor> frames;
+  for (int i = 0; i < 4; ++i) {
+    frames.push_back(rng.tensor(Shape{16, 16}, 0.f, 10.f));
+  }
+  data::UniformProbeLayout layout(16, 16, 4);
+  baselines::SrcnnConfig config;
+  config.channels1 = 8;
+  config.channels2 = 4;
+  config.window = 16;
+  config.epochs = 1;
+  config.crops_per_epoch = 8;
+  baselines::Srcnn srcnn(config);
+  srcnn.fit(frames, layout);
+  // The fit only sets the normalisation statistics (from the portable
+  // frames); the weights are then replaced by portable values.
+  auto* network = const_cast<nn::Sequential*>(srcnn.network());
+  fill_portable(network->parameters(), network->buffers(), rng);
+
+  auto net = baselines::SrcnnInt8::convert(srcnn, {frames[0], frames[1]},
+                                           layout);
+  std::uint64_t digest = 0;
+  for (const Tensor& frame : {frames[2], frames[3]}) {
+    digest = digest * 31 + fnv1a64(net->super_resolve(frame, layout));
+  }
+  EXPECT_EQ(digest, 0x6c5beb1a812fbaa0ull) << std::hex << digest;
 }
 
 }  // namespace
