@@ -28,11 +28,11 @@ SrcnnInt8::SrcnnInt8(const Srcnn& srcnn)
   check(net->size() == 5, "SrcnnInt8: unexpected SRCNN stack length");
   // conv(9) → ReLU, conv(1) → ReLU, conv(5) linear. The ReLUs become
   // fused LeakyReLU epilogues with slope 0 (max(y, 0·y) == max(y, 0)).
-  layers_.push_back(std::make_unique<nn::QuantConv2d>(
+  layers_.push_back(std::make_unique<nn::QuantConv3d>(
       layer_as<nn::Conv2d>(*net, 0), nullptr, 0.f));
-  layers_.push_back(std::make_unique<nn::QuantConv2d>(
+  layers_.push_back(std::make_unique<nn::QuantConv3d>(
       layer_as<nn::Conv2d>(*net, 2), nullptr, 0.f));
-  layers_.push_back(std::make_unique<nn::QuantConv2d>(
+  layers_.push_back(std::make_unique<nn::QuantConv3d>(
       layer_as<nn::Conv2d>(*net, 4), nullptr, 1.f));
 }
 

@@ -2,7 +2,7 @@
 //
 // Same one-shot conversion story as ZipNetInt8 (src/core/zipnet_int8.hpp):
 // the constructor walks the trained 9-1-5 stack and mirrors each conv as a
-// QuantConv2d — the two ReLUs fuse into the GEMM epilogue as LeakyReLU with
+// depth-1 QuantConv3d — the two ReLUs fuse into the GEMM epilogue as LeakyReLU with
 // slope 0 (max(y, 0·y) is exactly max(y, 0)), the output conv stays linear.
 // SRCNN has no BatchNorm, so there is nothing to fold; the bicubic
 // upscaling and the mean/stddev normalisation around the network run in
@@ -68,7 +68,7 @@ class SrcnnInt8 final : public SuperResolver {
   double stddev_ = 1.0;
   // forward_calibrate mutates the range observers; mutable mirrors the
   // float Srcnn's treatment of its network under the const interface.
-  mutable std::vector<std::unique_ptr<nn::QuantConv2d>> layers_;
+  mutable std::vector<std::unique_ptr<nn::QuantConv3d>> layers_;
   bool frozen_ = false;
 };
 

@@ -59,7 +59,7 @@ ZipNetInt8::ZipNetInt8(const ZipNet& generator)
 
   // Zipper modules: [conv BN lrelu] each.
   for (const auto& module : generator.zipper_blocks()) {
-    zipper_.push_back(std::make_unique<nn::QuantConv2d>(
+    zipper_.push_back(std::make_unique<nn::QuantConv3d>(
         layer_as<nn::Conv2d>(*module, 0, "zipper"),
         &layer_as<nn::BatchNorm>(*module, 1, "zipper"), alpha));
   }
@@ -68,11 +68,11 @@ ZipNetInt8::ZipNetInt8(const ZipNet& generator)
   const nn::Sequential& fin = generator.final_block();
   check(fin.size() == 7, "ZipNetInt8: unexpected final block length");
   for (std::size_t i = 0; i < 6; i += 3) {
-    final_.push_back(std::make_unique<nn::QuantConv2d>(
+    final_.push_back(std::make_unique<nn::QuantConv3d>(
         layer_as<nn::Conv2d>(fin, i, "final"),
         &layer_as<nn::BatchNorm>(fin, i + 1, "final"), alpha));
   }
-  final_.push_back(std::make_unique<nn::QuantConv2d>(
+  final_.push_back(std::make_unique<nn::QuantConv3d>(
       layer_as<nn::Conv2d>(fin, 6, "final"), nullptr, 1.f));
 }
 

@@ -83,8 +83,8 @@ class ZipNetInt8 {
   };
   std::vector<Stage3d> upscale_;
   std::unique_ptr<nn::QuantConv3d> entry_;  ///< depth-S collapse conv
-  std::vector<std::unique_ptr<nn::QuantConv2d>> zipper_;
-  std::vector<std::unique_ptr<nn::QuantConv2d>> final_;  ///< last is linear
+  std::vector<std::unique_ptr<nn::QuantConv3d>> zipper_;
+  std::vector<std::unique_ptr<nn::QuantConv3d>> final_;  ///< last is linear
   bool frozen_ = false;
 };
 

@@ -139,6 +139,7 @@ ChannelsLast view_of(const Tensor& t) {
 // Packed Tensor copy of a view: (N, H, W, C) for rank 4 (d must be 1),
 // (N, D, H, W, C) for rank 5.
 Tensor to_tensor(const ChannelsLast& v, int rank) {
+  check(rank == 5 || v.d == 1, "quantised layer: output depth is not 1");
   Tensor out(rank == 5 ? Shape{v.n, v.d, v.h, v.w, v.channels}
                        : Shape{v.n, v.h, v.w, v.channels});
   const auto row_bytes = static_cast<std::size_t>(v.channels) * sizeof(float);
@@ -350,13 +351,13 @@ std::array<std::int64_t, 3> QuantConv3d::out_extent(
 }
 
 ChannelsLast QuantConv3d::forward_calibrate(const ChannelsLast& input,
-                                            Workspace& ws, float* out) {
+                                            Workspace& ws) {
   check(!core_.frozen, "QuantConv3d: forward_calibrate after freeze");
   const auto [od, oh, ow] = out_extent(input);
   const std::int64_t k =
       in_channels_ * kernel_[0] * kernel_[1] * kernel_[2];
   const std::int64_t m = input.n * od * oh * ow;
-  if (out == nullptr) out = ws.alloc(m * out_channels_);
+  float* out = ws.alloc(m * out_channels_);
   {
     Workspace::Scope scratch(ws);
     float* planes = ws.alloc(input.positions() * in_channels_);
@@ -412,33 +413,19 @@ ChannelsLast QuantConv3d::forward(const ChannelsLast& input, Workspace& ws,
 }
 
 Tensor QuantConv3d::forward_calibrate(const Tensor& input) {
-  check(input.rank() == 5, "QuantConv3d: expects (N, D, H, W, C) input");
+  check(input.rank() == 4 || input.rank() == 5,
+        "QuantConv3d: expects (N, H, W, C) or (N, D, H, W, C) input");
   Workspace& ws = Workspace::tls();
   Workspace::Scope scope(ws);
-  return to_tensor(forward_calibrate(view_of(input), ws), 5);
+  return to_tensor(forward_calibrate(view_of(input), ws), input.rank());
 }
 
 Tensor QuantConv3d::forward(const Tensor& input) const {
-  check(input.rank() == 5, "QuantConv3d: expects (N, D, H, W, C) input");
+  check(input.rank() == 4 || input.rank() == 5,
+        "QuantConv3d: expects (N, H, W, C) or (N, D, H, W, C) input");
   Workspace& ws = Workspace::tls();
   Workspace::Scope scope(ws);
-  return to_tensor(forward(view_of(input), ws), 5);
-}
-
-// ---- QuantConv2d -----------------------------------------------------------
-
-Tensor QuantConv2d::forward_calibrate(const Tensor& input) {
-  check(input.rank() == 4, "QuantConv2d: expects (N, H, W, C) input");
-  Workspace& ws = Workspace::tls();
-  Workspace::Scope scope(ws);
-  return to_tensor(conv_.forward_calibrate(view_of(input), ws), 4);
-}
-
-Tensor QuantConv2d::forward(const Tensor& input) const {
-  check(input.rank() == 4, "QuantConv2d: expects (N, H, W, C) input");
-  Workspace& ws = Workspace::tls();
-  Workspace::Scope scope(ws);
-  return to_tensor(conv_.forward(view_of(input), ws), 4);
+  return to_tensor(forward(view_of(input), ws), input.rank());
 }
 
 // ---- QuantConvTranspose3d --------------------------------------------------
@@ -471,15 +458,14 @@ std::array<std::int64_t, 3> QuantConvTranspose3d::out_extent(
 }
 
 ChannelsLast QuantConvTranspose3d::forward_calibrate(const ChannelsLast& input,
-                                                     Workspace& ws,
-                                                     float* out) {
+                                                     Workspace& ws) {
   check(!core_.frozen, "QuantConvTranspose3d: forward_calibrate after freeze");
   const auto [od, oh, ow] = out_extent(input);
   const std::int64_t taps =
       out_channels_ * kernel_[0] * kernel_[1] * kernel_[2];
   const std::int64_t m = input.positions();
   const std::int64_t out_inner = od * oh * ow;
-  if (out == nullptr) out = ws.alloc(input.n * out_inner * out_channels_);
+  float* out = ws.alloc(input.n * out_inner * out_channels_);
   {
     Workspace::Scope scratch(ws);
     float* x_cm = ws.alloc(in_channels_ * m);

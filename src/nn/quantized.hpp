@@ -1,6 +1,7 @@
 // Quantised inference-only layers: the int8 forward variants of the
 // generator's hot layers (Conv2d/Conv3d/ConvTranspose3d), built by one-shot
-// conversion from their trained float counterparts.
+// conversion from their trained float counterparts. A Conv2d converts to
+// the depth-1 QuantConv3d.
 //
 // Every layer here is CHANNELS-LAST: it takes and returns (N, H, W, C) /
 // (N, D, H, W, C) batches, either as Tensors or as ChannelsLast views of
@@ -88,27 +89,29 @@ class QuantConv3d {
   QuantConv3d(const Conv3d& conv, const BatchNorm* bn,
               float lrelu_alpha = 1.f);
 
-  /// A 2-D conv over C·depth stacked channels (channel c·depth + s) is the
-  /// 3-D conv with kernel depth `depth` and no depth padding: on an
-  /// (N, depth, H, W, C) batch it yields (N, 1, H', W', O). This is
-  /// ZipNet's collapse from its 3-D to its 2-D stage, taken without a
-  /// relayout; its K order is (s, ky, kx, c). depth = 1 is a plain
-  /// channels-last Conv2d.
-  QuantConv3d(const Conv2d& conv, const BatchNorm* bn, float lrelu_alpha,
-              int depth);
+  /// A 2-D conv is the 3-D conv of kernel depth 1: on (N, H, W, C) it
+  /// yields (N, H', W', O). Over C·depth stacked channels (channel
+  /// c·depth + s) it is the 3-D conv with kernel depth `depth` and no depth
+  /// padding: on an (N, depth, H, W, C) batch it yields (N, 1, H', W', O).
+  /// This is ZipNet's collapse from its 3-D to its 2-D stage, taken without
+  /// a relayout; its K order is (s, ky, kx, c).
+  QuantConv3d(const Conv2d& conv, const BatchNorm* bn,
+              float lrelu_alpha = 1.f, int depth = 1);
 
   /// Float reference forward: records the input range for calibration.
+  /// The Tensor forms take (N, H, W, C) (depth 1) or (N, D, H, W, C) and
+  /// return the output at the input's rank.
   [[nodiscard]] Tensor forward_calibrate(const Tensor& input);
-  /// Row forms: the output goes to `out` when given — it must hold
-  /// positions × out_stride() floats — and is carved from `ws` otherwise;
-  /// the layer's scratch is released from `ws` on return.
+  /// Row form: the output is carved from `ws`; the layer's scratch is
+  /// released from `ws` on return.
   [[nodiscard]] ChannelsLast forward_calibrate(const ChannelsLast& input,
-                                               Workspace& ws,
-                                               float* out = nullptr);
+                                               Workspace& ws);
   /// Quantises + packs the weights and fixes the activation scale.
   void freeze();
   /// int8 forward (requires freeze()).
   [[nodiscard]] Tensor forward(const Tensor& input) const;
+  /// Row form: the output goes to `out` when given — it must hold
+  /// positions × out_stride() floats — and is carved from `ws` otherwise.
   [[nodiscard]] ChannelsLast forward(const ChannelsLast& input, Workspace& ws,
                                      float* out = nullptr) const;
   [[nodiscard]] bool frozen() const { return core_.frozen; }
@@ -131,32 +134,6 @@ class QuantConv3d {
   detail::QuantCore core_;
 };
 
-/// Quantised Conv2d (+ folded BatchNorm, + fused LeakyReLU) over
-/// (N, H, W, C) batches: the depth-1 QuantConv3d.
-class QuantConv2d {
- public:
-  QuantConv2d(const Conv2d& conv, const BatchNorm* bn,
-              float lrelu_alpha = 1.f)
-      : conv_(conv, bn, lrelu_alpha, 1) {}
-
-  [[nodiscard]] Tensor forward_calibrate(const Tensor& input);
-  [[nodiscard]] ChannelsLast forward_calibrate(const ChannelsLast& input,
-                                               Workspace& ws,
-                                               float* out = nullptr) {
-    return conv_.forward_calibrate(input, ws, out);
-  }
-  void freeze() { conv_.freeze(); }
-  [[nodiscard]] Tensor forward(const Tensor& input) const;
-  [[nodiscard]] ChannelsLast forward(const ChannelsLast& input, Workspace& ws,
-                                     float* out = nullptr) const {
-    return conv_.forward(input, ws, out);
-  }
-  [[nodiscard]] bool frozen() const { return conv_.frozen(); }
-
- private:
-  QuantConv3d conv_;
-};
-
 /// Quantised ConvTranspose3d — the ZipNet upscaling stage's first layer —
 /// over (N, D, H, W, C) batches. BatchNorm folds; the LeakyReLU applies
 /// after the scatter (transposed convolutions accumulate overlapping taps,
@@ -170,8 +147,7 @@ class QuantConvTranspose3d {
   [[nodiscard]] Tensor forward_calibrate(const Tensor& input);
   /// Row forms, with QuantConv3d's output contract.
   [[nodiscard]] ChannelsLast forward_calibrate(const ChannelsLast& input,
-                                               Workspace& ws,
-                                               float* out = nullptr);
+                                               Workspace& ws);
   void freeze();
   [[nodiscard]] Tensor forward(const Tensor& input) const;
   [[nodiscard]] ChannelsLast forward(const ChannelsLast& input, Workspace& ws,

@@ -1063,6 +1063,22 @@ const char* gemm_u8s8_kernel_name() { return u8s8_kernel().name; }
 
 const char* matmul_kernel_name() { return float_panel_kernel().name; }
 
+namespace {
+
+// a·b + c, built like the small-k / NT block kernels (same attribute, same
+// translation unit), so its resolved clone contracts exactly when theirs do.
+MTSR_SIMD_CLONES __attribute__((noinline))
+float block_mul_add(float a, float b, float c) { return a * b + c; }
+
+}  // namespace
+
+bool matmul_block_kernels_fuse_mul_add() {
+  // (1 + 2⁻¹²)² − 1 is 2⁻¹¹ + 2⁻²⁴ fused and 2⁻¹¹ when the product rounds
+  // first. volatile keeps the operands out of constant folding.
+  volatile float a = 1.f + 0x1p-12f, c = -1.f;
+  return block_mul_add(a, a, c) != 0x1p-11f;
+}
+
 void matmul_into(const float* a, const float* b, float* c, std::int64_t m,
                  std::int64_t k, std::int64_t n, bool accumulate) {
   gemm_nn(a, b, c, m, k, n, accumulate, float_panel_kernel().fn);

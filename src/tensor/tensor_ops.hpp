@@ -67,6 +67,14 @@ void transpose_into(const float* a, std::int64_t m, std::int64_t n,
 /// dispatch (gemm_u8s8_kernel_name).
 [[nodiscard]] const char* matmul_kernel_name();
 
+/// Whether the float family's small-k and NT block kernels, as compiled and
+/// resolved on this host, contract a·b + c into one fused multiply-add.
+/// They are built once per ISA (target_clones) where the toolchain allows
+/// it, and the compiler decides the contraction per build; this reports the
+/// resolved build's choice by running a·b + c built the same way. With
+/// matmul_kernel_name() it names how the float path rounds.
+[[nodiscard]] bool matmul_block_kernels_fuse_mul_add();
+
 /// Testing/benchmark seam: runs matmul_into with the microkernel of an
 /// explicit dispatch level — "scalar"/"sse2"/"generic" (portable kernel),
 /// "avx2", or "avx512"/"vnni" (the same float kernel) — regardless of

@@ -425,11 +425,12 @@ Tensor to_channels_last(const Tensor& x) {
 // their initial values, then compares the folded calibration path — fed
 // the channels-last copy of the input — against the unfused float
 // [conv → BN → LeakyReLU] stack in inference mode. `to_quant_layout` maps
-// the float layer's input onto the quantised layer's.
+// the float layer's input onto the quantised layer's and
+// `to_quant_output` its output onto the quantised layer's, shape included.
 template <typename Conv, typename MakeInput>
 void expect_fold_parity(Conv& conv, nn::BatchNorm& bn, float alpha,
                         MakeInput&& make_input, auto&& build_quant,
-                        auto&& to_quant_layout) {
+                        auto&& to_quant_layout, auto&& to_quant_output) {
   Rng rng(16);
   nn::LeakyReLU lrelu(alpha);
   for (int step = 0; step < 3; ++step) {
@@ -444,7 +445,7 @@ void expect_fold_parity(Conv& conv, nn::BatchNorm& bn, float alpha,
   Tensor want;
   {
     Workspace::Scope scope(Workspace::tls());
-    want = to_channels_last(
+    want = to_quant_output(
         lrelu.forward(bn.forward(conv.forward(x, false), false), false));
   }
   Tensor got;
@@ -452,7 +453,7 @@ void expect_fold_parity(Conv& conv, nn::BatchNorm& bn, float alpha,
     Workspace::Scope scope(Workspace::tls());
     got = quantised->forward_calibrate(xq);
   }
-  ASSERT_EQ(want.size(), got.size());
+  ASSERT_EQ(want.shape(), got.shape());
   for (std::int64_t i = 0; i < want.size(); ++i) {
     ASSERT_NEAR(want.flat(i), got.flat(i), 1e-4)
         << "BN-fold parity failed at " << i;
@@ -485,9 +486,9 @@ TEST(QuantLayers, Conv2dFoldParityAndInt8Accuracy) {
       conv, bn, 0.1f,
       [](Rng& r) { return Tensor::randn(Shape{2, 5, 9, 9}, r); },
       [](const nn::Conv2d& c, const nn::BatchNorm& b, float a) {
-        return std::make_unique<nn::QuantConv2d>(c, &b, a);
+        return std::make_unique<nn::QuantConv3d>(c, &b, a);
       },
-      to_channels_last);
+      to_channels_last, to_channels_last);
 }
 
 TEST(QuantLayers, Conv3dFoldParityAndInt8Accuracy) {
@@ -500,7 +501,7 @@ TEST(QuantLayers, Conv3dFoldParityAndInt8Accuracy) {
       [](const nn::Conv3d& c, const nn::BatchNorm& b, float a) {
         return std::make_unique<nn::QuantConv3d>(c, &b, a);
       },
-      to_channels_last);
+      to_channels_last, to_channels_last);
 }
 
 TEST(QuantLayers, CollapseConvMatchesConv2dOverStackedChannels) {
@@ -521,6 +522,11 @@ TEST(QuantLayers, CollapseConvMatchesConv2dOverStackedChannels) {
         // (N, C·S, H, W) is (N, C, S, H, W) in memory.
         return to_channels_last(
             x.reshape(Shape{x.dim(0), c, s, x.dim(2), x.dim(3)}));
+      },
+      [](const Tensor& y) {
+        // The collapse leaves depth 1: (N, O, H, W) → (N, 1, H, W, O).
+        const Tensor t = to_channels_last(y);
+        return t.reshape(Shape{t.dim(0), 1, t.dim(1), t.dim(2), t.dim(3)});
       });
 }
 
@@ -534,13 +540,13 @@ TEST(QuantLayers, ConvTranspose3dFoldParityAndInt8Accuracy) {
       [](const nn::ConvTranspose3d& c, const nn::BatchNorm& b, float a) {
         return std::make_unique<nn::QuantConvTranspose3d>(c, &b, a);
       },
-      to_channels_last);
+      to_channels_last, to_channels_last);
 }
 
 TEST(QuantLayers, FreezeRequiresCalibration) {
   Rng rng(22);
   nn::Conv2d conv(2, 2, 3, 1, 1, rng);
-  nn::QuantConv2d quantised(conv, nullptr);
+  nn::QuantConv3d quantised(conv, nullptr);
   EXPECT_THROW(quantised.freeze(), ContractViolation);
   Tensor x = Tensor::randn(Shape{1, 5, 5, 2}, rng);
   EXPECT_THROW((void)quantised.forward(x), ContractViolation);
@@ -887,19 +893,6 @@ void fill_portable(const std::vector<nn::Parameter*>& params,
   }
 }
 
-// Whether the float GEMM's small-k / NT block kernels run their avx512f
-// target_clones build, the one that contracts a·b + c into FMA. Mirrors the
-// MTSR_SIMD_CLONES condition in tensor_ops.cpp: sanitizer builds compile
-// those kernels once for the baseline ISA.
-bool block_kernels_fma() {
-#if defined(__x86_64__) && defined(__GNUC__) && \
-    !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
-  return __builtin_cpu_supports("avx512f");
-#else
-  return false;
-#endif
-}
-
 TEST(OutputDigest, ZipNetFloatAndInt8ArePinned) {
   // The serving geometry of the benchmark: window 20 at up-4, S = 3. The
   // bare network (no residual base) pins the layer stack at full
@@ -943,11 +936,18 @@ TEST(OutputDigest, ZipNetFloatAndInt8ArePinned) {
   }
   // The float path rounds two ways per kernel: the panel kernel is the
   // portable mul + add one or an FMA one, and the small-k / NT block
-  // kernels contract to FMA only in their avx512f target_clones build. The
+  // kernels fuse a·b + c or not as their resolved build was compiled. The
   // int8 digest inherits the difference through the calibrated ranges, so
-  // each of the four combinations has its own recorded digests.
+  // each of the four combinations has its own recorded digests. They were
+  // recorded from the earlier NCHW implementation of the int8 pass, built
+  // with GCC 12.2 (x86-64, Release) on an AVX-512 host, each at the
+  // default dispatch (FMA panel) and at MTSR_SIMD=scalar (generic panel):
+  // fused blocks from the normal build, unfused ones from an ASan build
+  // (blocks built once for the baseline ISA) and from a build whose blocks
+  // were cloned for AVX2 and the baseline only, as on an AVX2-only host.
+  // A -ffp-contract=off build reports unfused blocks and matches too.
   const bool generic = std::string(matmul_kernel_name()) == "generic";
-  const bool fma_blocks = block_kernels_fma();
+  const bool fma_blocks = matmul_block_kernels_fuse_mul_add();
   const std::uint64_t want[2][2][3] = {
       // {int8, float, calibrate}: [fma_blocks][generic]
       {{0x2ff29b39c47bb71eull, 0x27fb42fd598c8fe0ull, 0xb1fc75c6bad3cd99ull},
@@ -961,6 +961,9 @@ TEST(OutputDigest, ZipNetFloatAndInt8ArePinned) {
 }
 
 TEST(OutputDigest, SrcnnInt8IsPinned) {
+  // One digest for every float rounding family: the NCHW implementation
+  // gave it in each build and at each dispatch level the ZipNet digests
+  // above were recorded at.
   PortableRng rng{2311};
   std::vector<Tensor> frames;
   for (int i = 0; i < 4; ++i) {
