@@ -15,7 +15,8 @@
 //
 //  2. Serving latency cost. The same serving loop timed frozen vs with a
 //     BACKGROUND trainer thread grinding at its default fully-isolated
-//     budget (trainer.replicas = -1): p50/p99 push latency for both. On a
+//     budget (trainer.replicas = 1, every slice inline on the trainer
+//     thread): p50/p99 push latency for both. On a
 //     1-CPU host the trainer competes for the core, so this is the honest
 //     worst case, not a marketing number.
 //

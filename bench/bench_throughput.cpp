@@ -544,12 +544,11 @@ BENCHMARK(BM_ServeIndependentDistinct)
 
 // ---- Data-parallel training --------------------------------------------
 //
-// One GAN train step, serial vs replica-sharded, in the same binary so the
-// layer kernels are identical machine code. Arg is the replica worker
-// count: -1 is the retained legacy whole-batch serial step, >= 1 is the
-// sliced replicated step (1 replica isolates the slicing overhead; more
-// replicas add concurrency). Results are bit-identical across all >= 1
-// settings, so the curve is purely a scheduling comparison. Each iteration
+// One GAN train step across replica worker counts, in the same binary so
+// the layer kernels are identical machine code. Arg is the replica worker
+// count (1 runs every slice inline on the calling thread; more replicas
+// add concurrency). Results are bit-identical across all settings, so the
+// curve is purely a scheduling comparison. Each iteration
 // runs several steps so the double-buffered input staging can overlap
 // batch assembly with step compute.
 
@@ -607,11 +606,10 @@ void BM_PretrainStep(benchmark::State& state) {
     benchmark::DoNotOptimize(trainer.pretrain(f.source, kTrainStepsPerIter));
   }
   state.SetItemsProcessed(state.iterations() * kTrainStepsPerIter);
-  state.SetLabel(replicas < 0 ? "legacy-serial"
-                              : "replicas=" + std::to_string(replicas));
+  state.SetLabel("replicas=" + std::to_string(replicas));
 }
 BENCHMARK(BM_PretrainStep)
-    ->Arg(-1)->Arg(1)->Arg(2)->Arg(4)
+    ->Arg(1)->Arg(2)->Arg(4)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -632,11 +630,10 @@ void BM_TrainStep(benchmark::State& state) {
     benchmark::DoNotOptimize(trainer.train(f.source, kTrainStepsPerIter / 2));
   }
   state.SetItemsProcessed(state.iterations() * kTrainStepsPerIter);
-  state.SetLabel(replicas < 0 ? "legacy-serial"
-                              : "replicas=" + std::to_string(replicas));
+  state.SetLabel("replicas=" + std::to_string(replicas));
 }
 BENCHMARK(BM_TrainStep)
-    ->Arg(-1)->Arg(1)->Arg(2)->Arg(4)
+    ->Arg(1)->Arg(2)->Arg(4)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -26,7 +26,7 @@ Srcnn::~Srcnn() = default;
 void Srcnn::fit(const std::vector<Tensor>& fine_frames,
                 const data::ProbeLayout& layout) {
   check(!fine_frames.empty(), "Srcnn::fit: no training frames");
-  check(config_.replicas >= 0, "Srcnn::fit: replicas must be >= 0");
+  const int replicas = nn::resolve_train_replicas(config_.replicas);
   Rng rng(config_.seed);
 
   // Normalisation statistics over the training frames (deterministic
@@ -83,7 +83,6 @@ void Srcnn::fit(const std::vector<Tensor>& fine_frames,
   network_->emplace<nn::Conv2d>(config_.channels2, 1, 5, 1, 2, rng);
 
   nn::Adam optimizer(network_->parameters(), config_.learning_rate);
-  const int replicas = nn::resolve_train_replicas(config_.replicas);
   const std::int64_t w = config_.window;
   const std::int64_t rows = fine_frames.front().dim(0);
   const std::int64_t cols = fine_frames.front().dim(1);

@@ -29,8 +29,8 @@ struct SrcnnConfig {
   std::uint64_t seed = 17;
   /// Data-parallel replica workers per train step: 0 resolves
   /// automatically (MTSR_TRAIN_REPLICAS, else one replica per pool shard,
-  /// minimum 1), >= 1 forces that many workers; fit() rejects negative
-  /// values. Results are bit-identical across all settings (see
+  /// minimum 1), >= 1 forces that many workers; negative values are
+  /// rejected. Results are bit-identical across all settings (see
   /// nn/replica.hpp).
   int replicas = 0;
 };

@@ -63,26 +63,12 @@ struct GanTrainerConfig {
   LossMode loss_mode = LossMode::kEmpirical;
   float sigma2 = 0.1f;         ///< σ² for LossMode::kFixedSigma
   float prob_clamp = 1e-4f;    ///< clamp D outputs to [c, 1-c] in logs
-  /// WGAN-style critic stability controls (cf. the critic_iter /
-  /// weight_clipping idiom of Wasserstein training loops). Online
-  /// fine-tuning stresses GAN stability far harder than one-shot offline
-  /// training, so both knobs exist as an ablation flag for the continuous
-  /// learner; at their defaults the training path is bit-identical to the
-  /// legacy trainer. `critic_iters` multiplies the discriminator sub-epochs
-  /// per round (the critic trains critic_iters × n_D steps before each
-  /// generator update); `weight_clip > 0` clamps every discriminator
-  /// parameter to [-weight_clip, +weight_clip] after each critic step,
-  /// the Lipschitz surrogate of weight-clipped WGAN. The critic keeps its
-  /// probabilistic head (this is NOT the full Wasserstein objective —
-  /// only its stability schedule).
-  int critic_iters = 1;
-  float weight_clip = 0.f;
   std::uint64_t seed = 23;
-  /// Data-parallel replica workers per train step: -1 forces the legacy
-  /// whole-batch serial step, 0 resolves automatically (MTSR_TRAIN_REPLICAS,
-  /// else one replica per pool shard, minimum 1 — auto never picks legacy,
-  /// keeping results independent of pool geometry), >= 1 forces that many
-  /// workers. See nn::resolve_train_replicas.
+  /// Data-parallel replica workers per train step: 0 resolves
+  /// automatically (MTSR_TRAIN_REPLICAS, else one replica per pool shard,
+  /// minimum 1), >= 1 forces that many workers; negative values are
+  /// rejected. Trained parameters are bit-identical for every setting.
+  /// See nn::resolve_train_replicas.
   int replicas = 0;
 };
 
@@ -115,20 +101,16 @@ class GanTrainer {
 
   [[nodiscard]] const GanTrainerConfig& config() const { return config_; }
 
-  /// Resolved replica worker count: 0 = legacy whole-batch serial step.
-  [[nodiscard]] int replica_workers() const { return replicas_; }
-
-  /// Per-worker thread-local arena telemetry from the most recent
-  /// replicated step (empty in legacy mode). Steady-state training must
-  /// show zero growth_events across steps once warmed up.
+  /// Per-worker thread-local arena telemetry from the most recent train
+  /// step (empty before the first). Steady-state training must show zero
+  /// growth_events across steps once warmed up.
   [[nodiscard]] const std::vector<nn::ReplicaArenaStats>&
   replica_arena_stats() const {
     return last_arena_stats_;
   }
 
  private:
-  /// A sampled batch, pre-split into the step's micro-slices (a single
-  /// slice in legacy mode).
+  /// A sampled batch, pre-split into the step's micro-slices.
   struct Batch {
     std::vector<Tensor> inputs;   ///< per slice: (m_s, S, ci, ci)
     std::vector<Tensor> targets;  ///< per slice: (m_s, h, w)
@@ -136,31 +118,15 @@ class GanTrainer {
     std::int64_t target_elements = 0;  ///< m*h*w, summed over slices
   };
 
-  [[nodiscard]] int slice_count() const;
-  /// WGAN weight clipping: clamps every discriminator parameter to
-  /// [-weight_clip, +weight_clip] (no-op at the default 0).
-  void clip_critic_weights();
   [[nodiscard]] Batch build_batch(const SampleSource& source,
                                   std::uint64_t base_counter);
   void stage_batch(const SampleSource& source);
   [[nodiscard]] Batch take_staged();
 
-  // Legacy whole-batch serial steps (config replicas == -1 only):
-  // bit-identical to the original single-threaded trainer.
-  double pretrain_step_legacy(const Tensor& inputs, const Tensor& targets);
-  double train_discriminator_step_legacy(const Tensor& inputs,
-                                         const Tensor& targets,
-                                         GanRoundStats& stats);
-  double train_generator_step_legacy(const Tensor& inputs,
-                                     const Tensor& targets,
-                                     GanRoundStats& stats);
-
   // Replica-sharded steps: slice fan-out + fixed-order reduction.
-  double pretrain_step_replicated(const Batch& batch);
-  double train_discriminator_step_replicated(const Batch& batch,
-                                             GanRoundStats& stats);
-  double train_generator_step_replicated(const Batch& batch,
-                                         GanRoundStats& stats);
+  double pretrain_step(const Batch& batch);
+  double train_discriminator_step(const Batch& batch, GanRoundStats& stats);
+  double train_generator_step(const Batch& batch, GanRoundStats& stats);
 
   ZipNet& generator_;
   Discriminator& discriminator_;

@@ -37,7 +37,8 @@ namespace replica {
 [[nodiscard]] int slot();
 
 /// Index into per-slot layer caches: slot() inside a replica task, 0 in
-/// direct mode (legacy/serial paths share slot 0's cache).
+/// direct mode (inference and direct forward/backward calls outside a
+/// train step share slot 0's cache).
 [[nodiscard]] int cache_index();
 
 /// RAII: binds the calling thread to replica slot `s`; restores the
@@ -70,15 +71,13 @@ struct SliceRange {
 [[nodiscard]] SliceRange train_slice_range(std::int64_t batch, int slices,
                                            int slice);
 
-/// Resolves a trainer's `replicas` config field to a worker count:
-///   * configured <  0 -> 0: the caller must run its retained legacy
-///     whole-batch serial step (no slicing at all).
-///   * configured >= 1 -> that many replica workers (sliced step).
+/// Resolves a trainer's `replicas` config field to a worker count (>= 1):
+///   * configured >= 1 -> that many replica workers.
 ///   * configured == 0 -> auto: MTSR_TRAIN_REPLICAS if set (>= 1), else one
-///     replica per pool shard (minimum 1). Auto never picks the legacy
-///     path from topology: the sliced step is bit-identical for any
-///     worker count >= 1, so auto-trained parameters stay independent of
-///     MTSR_THREADS / MTSR_SHARDS. Legacy numerics require an explicit -1.
+///     replica per pool shard (minimum 1). The sliced step is bit-identical
+///     for any worker count, so auto-trained parameters stay independent
+///     of MTSR_THREADS / MTSR_SHARDS.
+///   * configured <  0 -> throws ContractViolation.
 [[nodiscard]] int resolve_train_replicas(int configured);
 
 /// Per-worker arena telemetry captured at the end of a replicated step,

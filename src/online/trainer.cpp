@@ -99,7 +99,7 @@ Trainer::Trainer(serving::Engine& engine, core::ZipNet& reference,
   net_ = clone_generator(reference);
   serving_twin_ = clone_generator(reference);
   Rng disc_rng(config_.trainer.seed + 1);
-  disc_ = std::make_unique<core::Discriminator>(config_.discriminator,
+  disc_ = std::make_unique<core::Discriminator>(core::DiscriminatorConfig{},
                                                 disc_rng);
   gan_ = std::make_unique<core::GanTrainer>(*net_, *disc_, config_.trainer);
 
@@ -135,11 +135,11 @@ void Trainer::stop() {
 
 void Trainer::loop() {
   // Everything this thread runs directly — optimizer steps, losses, the
-  // legacy serial train step — executes serially under the nested-region
-  // guard, never contending for the pool's in-flight task against a
-  // concurrently serving thread. Replica-budget configs still fan their
-  // slices out through the shard runner queues (run_on_shard is safe to
-  // enqueue from here).
+  // slices of a one-replica train step — executes serially under the
+  // nested-region guard, never contending for the pool's in-flight task
+  // against a concurrently serving thread. Multi-replica budgets still fan
+  // their slices out through the shard runner queues (run_on_shard is
+  // safe to enqueue from here).
   detail::NestedParallelRegion nested;
   while (!stop_requested_.load()) {
     bool trained = false;
@@ -239,17 +239,10 @@ bool Trainer::round() {
   };
 
   gan_->pretrain(source, config_.steps_per_round);
-  std::int64_t new_steps = config_.steps_per_round;
-  if (config_.adversarial_rounds > 0) {
-    gan_->train(source, config_.adversarial_rounds);
-    new_steps += static_cast<std::int64_t>(config_.adversarial_rounds) *
-                 (config_.trainer.n_d * config_.trainer.critic_iters +
-                  config_.trainer.n_g);
-  }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    steps_ += new_steps;
-    batches_ += new_steps;  // one staged mini-batch per step
+    steps_ += config_.steps_per_round;
+    batches_ += config_.steps_per_round;  // one staged mini-batch per step
   }
 
   if (++rounds_since_checkpoint_ >= config_.rounds_per_checkpoint) {

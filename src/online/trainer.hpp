@@ -22,17 +22,16 @@
 // with zero dropped or duplicated blocks (PR 5's hot-reload contract).
 //
 // Serving-latency isolation: the background thread always runs inside a
-// detail::NestedParallelRegion, so every parallel_for it issues directly
-// (optimizer steps, losses, legacy train steps) executes serially on the
-// trainer thread and never contends for the pool's in-flight task. The
-// compute budget is `config.trainer.replicas`:
-//   -1 (default)  fully isolated — the whole fine-tune step runs serially
-//                 on the trainer thread; serving latency is untouched.
-//   >= 1 (or 0)   replica-sharded steps (PR 9): slice forwards/backwards
-//                 enqueue on the shard runner queues via run_on_shard,
-//                 interleaving with dispatch rounds in queue order —
-//                 training shares the shards, bounded by queue fairness;
-//                 bench_online records the honest p99 impact.
+// detail::NestedParallelRegion, so every parallel_for it issues executes
+// serially on the trainer thread and never contends for the pool's
+// in-flight task. The fine-tune step is GanTrainer's sliced step with
+// `config.trainer.replicas` workers; the default of 1 runs the slices
+// inline on the trainer thread, so the pool never sees the fine-tune and
+// serving latency is untouched. Budgets >= 2 (or 0, auto) enqueue slice
+// forwards/backwards on the shard runner queues via run_on_shard,
+// interleaving with dispatch rounds in queue order — training then shares
+// the shards, bounded by queue fairness; bench_online records the p99
+// impact. Fine-tuned weights are bit-identical for every budget.
 //
 // Threading contract: start()/stop() and run_rounds() are caller-thread
 // operations and must not overlap each other; while the background thread
@@ -67,7 +66,7 @@ namespace mtsr::online {
 /// Everything the continuous learner needs to know about the stream it
 /// fine-tunes on and the promotion policy it applies.
 struct TrainerConfig {
-  TrainerConfig() { trainer.replicas = -1; }  // isolated by default
+  TrainerConfig() { trainer.replicas = 1; }  // isolated by default
 
   std::string model = "zipnet";  ///< engine registry slot promotions target
   /// Tap stream to learn from (a session's stream tag, or "session-<id>"
@@ -84,12 +83,10 @@ struct TrainerConfig {
 
   /// Fine-tune engine configuration. `trainer.replicas` is the serving
   /// isolation budget (see the header comment); the TrainerConfig default
-  /// overrides GanTrainerConfig's auto to -1 (fully isolated).
+  /// overrides GanTrainerConfig's auto to 1 (fully isolated).
   core::GanTrainerConfig trainer;
-  core::DiscriminatorConfig discriminator;  ///< for adversarial_rounds > 0
 
-  int steps_per_round = 8;     ///< MSE fine-tune steps per loop round
-  int adversarial_rounds = 0;  ///< GAN rounds after the MSE steps (ablation)
+  int steps_per_round = 8;        ///< MSE fine-tune steps per loop round
   int rounds_per_checkpoint = 2;  ///< candidate cadence
 
   std::int64_t tap_capacity = 64;   ///< per-stream ring bound (drop-oldest)
@@ -187,6 +184,7 @@ class Trainer {
   // gate's comparison point.
   std::unique_ptr<core::ZipNet> net_;
   std::unique_ptr<core::ZipNet> serving_twin_;
+  /// GanTrainer requires a discriminator; the MSE fine-tune never steps it.
   std::unique_ptr<core::Discriminator> disc_;
   std::unique_ptr<core::GanTrainer> gan_;
 

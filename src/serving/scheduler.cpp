@@ -248,18 +248,9 @@ void Scheduler::serve_shard(int shard_index, Shard& sh,
   }
 
   // ---- Overlap staging -----------------------------------------------------
-  // kAuto engages the stage thread when THIS shard has more than one worker
-  // slot — on a single-slot shard the overlap cannot buy wall-clock time.
-  const int pool = shard_size(shard_index);
-  bool overlap = false;
-  for (const Active* a : acts) {
-    const SessionConfig::Overlap mode = a->session->config_.overlap;
-    if (mode == SessionConfig::Overlap::kOn ||
-        (mode == SessionConfig::Overlap::kAuto && pool > 1)) {
-      overlap = true;
-      break;
-    }
-  }
+  // The stage thread engages when THIS shard has more than one worker slot
+  // — on a single-slot shard the overlap cannot buy wall-clock time.
+  const bool overlap = shard_size(shard_index) > 1;
   if (overlap && !sh.stage) {
     sh.stage = std::make_unique<StageExecutor>(shard_index);
   }

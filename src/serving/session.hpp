@@ -71,12 +71,6 @@ struct SessionConfig {
   /// is borrowed and must outlive the session.
   const data::ProbeLayout* layout = nullptr;
 
-  /// Double-buffering: kAuto enables the stage-thread overlap when the
-  /// pool has more than one worker (on a single core the overlap cannot
-  /// buy wall-clock time).
-  enum class Overlap { kAuto, kOff, kOn };
-  Overlap overlap = Overlap::kAuto;
-
   /// Pulls grid geometry and normalisation from a dataset.
   [[nodiscard]] static SessionConfig from_dataset(
       std::string model, data::MtsrInstance instance,

@@ -3,8 +3,9 @@
 // (the same hook the net front door's push_all drain feeds), holdout-gated
 // checkpoint promotion with staleness bookkeeping, forced-rejection leaving
 // serving bit-identical (background trainer running or not), concurrent
-// serve+train with zero dropped frames (the TSan leg runs this file), and
-// torn-checkpoint rejection on top of the atomic save path.
+// serve+train with zero dropped frames (the TSan leg runs this file),
+// fine-tunes bit-identical across replica counts, and torn-checkpoint
+// rejection on top of the atomic save path.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -330,6 +331,68 @@ TEST(OnlineTrainer, NonPromotingBackgroundTrainerKeepsServingBitwise) {
   online_engine.close_session(online_id);
   control.close_session(control_id);
   remove_checkpoints(trainer);
+}
+
+// The fine-tune runs GanTrainer's sliced step, so the replica-determinism
+// contract reaches the online trainer: the budget decides where slices
+// run, never what is promoted. Serving after the promotions, and every
+// gate figure, must match bitwise between one inline replica and two
+// replicas fanned out over a 4-worker pool.
+TEST(OnlineTrainer, FineTuneBitIdenticalAcrossReplicaCounts) {
+  PoolGuard guard;
+  set_num_threads(4);
+  data::TrafficDataset dataset = small_dataset(517);
+  core::MtsrPipeline pipeline(small_pipeline_config(), dataset);
+
+  struct Run {
+    std::vector<Tensor> outputs;
+    serving::OnlineTrainerStats stats;
+  };
+  auto run = [&](int replicas) {
+    serving::Engine engine;
+    engine.register_model(
+        "zipnet",
+        std::make_shared<serving::ZipNetModel>(pipeline.generator()));
+    const std::string prefix =
+        "test-online-replicas-" + std::to_string(replicas);
+    TrainerConfig config = small_online_config(dataset, prefix.c_str());
+    config.trainer.replicas = replicas;
+    config.trainer.batch_size = 8;  // four slices over the workers
+    config.max_nrmse_regression = 1e6;  // promote every candidate
+    Trainer trainer(engine, pipeline.generator(), config);
+
+    const auto id = engine.open_session(stream_config(dataset));
+    for (std::int64_t t = 0; t < 10; ++t) {
+      (void)engine.push(id, dataset.frame(t));
+    }
+    EXPECT_EQ(trainer.run_rounds(3), 3);
+    Run result;
+    for (std::int64_t t = 10; t < 14; ++t) {
+      auto out = engine.push(id, dataset.frame(t));
+      EXPECT_TRUE(out.has_value());
+      if (out) result.outputs.push_back(std::move(*out));
+    }
+    result.stats = trainer.stats();
+    engine.close_session(id);
+    remove_checkpoints(trainer);
+    return result;
+  };
+
+  const Run one = run(1);
+  const Run two = run(2);
+  EXPECT_EQ(one.stats.promoted, 3);
+  EXPECT_EQ(two.stats.candidates, one.stats.candidates);
+  EXPECT_EQ(two.stats.promoted, one.stats.promoted);
+  EXPECT_EQ(two.stats.rejected, one.stats.rejected);
+  EXPECT_EQ(two.stats.steps, one.stats.steps);
+  EXPECT_EQ(two.stats.holdout_nrmse, one.stats.holdout_nrmse);
+  EXPECT_EQ(two.stats.serving_nrmse, one.stats.serving_nrmse);
+  ASSERT_EQ(one.outputs.size(), 4u);
+  ASSERT_EQ(two.outputs.size(), one.outputs.size());
+  for (std::size_t i = 0; i < one.outputs.size(); ++i) {
+    expect_bitwise(two.outputs[i], one.outputs[i],
+                   "promoted serving across replica counts");
+  }
 }
 
 TEST(OnlineTrainer, TornCheckpointRejectedAndServingUntouched) {

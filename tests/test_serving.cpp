@@ -1,8 +1,9 @@
 // Tests for the serving layer: engine/session lifecycle, warm-up
 // semantics, multi-session determinism (pool sizes, interleavings, overlap
-// on/off), predict_frame-vs-session output identity, per-session arena
-// telemetry and the zero-growth steady-state contract, baseline
-// interchangeability, and the load_generator architecture diagnostics.
+// off at one worker and on above it), predict_frame-vs-session output
+// identity, per-session arena telemetry and the zero-growth steady-state
+// contract, baseline interchangeability, and the load_generator
+// architecture diagnostics.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -175,15 +176,14 @@ TEST(Session, DeterministicAcrossPoolSizesInterleavingsAndOverlap) {
   core::MtsrPipeline pipeline(small_pipeline_config(), dataset);
   auto model = std::make_shared<ZipNetModel>(pipeline.generator());
 
-  // Reference: pool size 1, sessions fed one after the other, no overlap.
-  auto run = [&](int threads, bool interleave,
-                 SessionConfig::Overlap overlap) {
+  // Reference: pool size 1 (stage-thread overlap off), sessions fed one
+  // after the other. Larger pools serve with the overlap on.
+  auto run = [&](int threads, bool interleave) {
     set_num_threads(threads);
     Engine engine;
     engine.register_model("zipnet", model);
     SessionConfig config = SessionConfig::from_dataset(
         "zipnet", data::MtsrInstance::kUp4, dataset, 8, 4);
-    config.overlap = overlap;
     const auto a = engine.open_session(config);
     const auto b = engine.open_session(config);
     // Keyed (session, frame) so the comparison is independent of the order
@@ -208,7 +208,7 @@ TEST(Session, DeterministicAcrossPoolSizesInterleavingsAndOverlap) {
     return outputs;
   };
 
-  const auto reference = run(1, false, SessionConfig::Overlap::kOff);
+  const auto reference = run(1, false);
   ASSERT_EQ(reference.size(), 10u);  // slots; first 2 per session stay empty
 
   const int hw = []() {
@@ -217,16 +217,13 @@ TEST(Session, DeterministicAcrossPoolSizesInterleavingsAndOverlap) {
   }();
   for (int threads : {1, 2, hw}) {
     for (bool interleave : {false, true}) {
-      for (auto overlap :
-           {SessionConfig::Overlap::kOff, SessionConfig::Overlap::kOn}) {
-        const auto outputs = run(threads, interleave, overlap);
-        ASSERT_EQ(outputs.size(), reference.size());
-        for (std::size_t i = 0; i < outputs.size(); ++i) {
-          ASSERT_EQ(outputs[i].empty(), reference[i].empty());
-          if (outputs[i].empty()) continue;
-          expect_bitwise(outputs[i], reference[i],
-                         "engine output across pool/interleave/overlap");
-        }
+      const auto outputs = run(threads, interleave);
+      ASSERT_EQ(outputs.size(), reference.size());
+      for (std::size_t i = 0; i < outputs.size(); ++i) {
+        ASSERT_EQ(outputs[i].empty(), reference[i].empty());
+        if (outputs[i].empty()) continue;
+        expect_bitwise(outputs[i], reference[i],
+                       "engine output across pool/interleave/overlap");
       }
     }
   }

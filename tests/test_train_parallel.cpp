@@ -1,9 +1,8 @@
 // Tests for the deterministic data-parallel training machinery: replicated
 // GAN/SRCNN train steps must be bit-identical across replica counts, pool
-// sizes and shard counts; the single-slice replicated step must match the
-// legacy serial step exactly; replica worker arenas must reach a
-// zero-growth steady state; and the counter-derived RNG streams must be
-// draw-order independent.
+// sizes and shard counts; replica worker arenas must reach a zero-growth
+// steady state; and the counter-derived RNG streams must be draw-order
+// independent.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -11,6 +10,7 @@
 #include <vector>
 
 #include "src/baselines/srcnn.hpp"
+#include "src/common/check.hpp"
 #include "src/common/parallel.hpp"
 #include "src/common/rng.hpp"
 #include "src/core/gan_trainer.hpp"
@@ -184,28 +184,6 @@ TEST(TrainParallel, GradientsBitIdenticalAcrossReplicaCounts) {
   }
 }
 
-TEST(TrainParallel, LegacySerialMatchesSingleSliceReplicated) {
-  PoolGuard guard;
-  Fixture f;
-  // Batches under 4 samples stay whole (train_slice_count == 1): the
-  // replicated step then runs one slice through slot 0 and must reproduce
-  // the legacy whole-batch serial step bit for bit.
-  ASSERT_EQ(nn::train_slice_count(2), 1);
-  const TrainResult legacy =
-      run_training(f, /*replicas=*/-1, 1, 1, /*batch_size=*/2, 3, 2);
-  const TrainResult sliced =
-      run_training(f, /*replicas=*/1, 1, 1, 2, 3, 2);
-  ASSERT_EQ(legacy.g_params.size(), sliced.g_params.size());
-  for (std::size_t i = 0; i < legacy.g_params.size(); ++i) {
-    EXPECT_TRUE(bitwise_equal(legacy.g_params[i], sliced.g_params[i]))
-        << "generator parameter " << i << " diverged from legacy";
-  }
-  for (std::size_t i = 0; i < legacy.d_params.size(); ++i) {
-    EXPECT_TRUE(bitwise_equal(legacy.d_params[i], sliced.d_params[i]))
-        << "discriminator parameter " << i << " diverged from legacy";
-  }
-}
-
 TEST(TrainParallel, ReplicaArenasReachZeroGrowthSteadyState) {
   PoolGuard guard;
   Fixture f;
@@ -239,14 +217,13 @@ TEST(TrainParallel, ReplicaArenasReachZeroGrowthSteadyState) {
 TEST(TrainParallel, ResolveTrainReplicas) {
   PoolGuard guard;
   ASSERT_EQ(unsetenv("MTSR_TRAIN_REPLICAS"), 0);
-  EXPECT_EQ(nn::resolve_train_replicas(-1), 0);  // explicit legacy
+  EXPECT_THROW((void)nn::resolve_train_replicas(-1), ContractViolation);
   EXPECT_EQ(nn::resolve_train_replicas(3), 3);   // explicit worker count
 
   set_num_threads(2);
   set_num_shards(1);
-  // Auto never topology-selects the legacy path: that would make trained
-  // parameters depend on the shard count. Single shard -> one sliced
-  // replica (bit-identical to any other replica count).
+  // Single shard -> one replica (bit-identical to any other replica
+  // count).
   EXPECT_EQ(nn::resolve_train_replicas(0), 1);
   set_num_shards(2);
   EXPECT_EQ(nn::resolve_train_replicas(0), 2);  // one replica per shard
