@@ -65,6 +65,26 @@ void BM_WideLoweringGemm(benchmark::State& state) {
 }
 BENCHMARK(BM_WideLoweringGemm)->Arg(8192)->Arg(32768);
 
+// The weight-gradient product of a lowered conv's backward pass,
+// dW = dY · colsᵀ (m out-channels × k positions against n taps × k), at
+// two shapes of the online fine-tune step (16×16 window, 2 samples per
+// slice): a zipper Conv2d(10→10, 3×3) and the last 3-D stage's
+// Conv3d(4→4, 3×3×3) over depth 3.
+void BM_MatmulNt(benchmark::State& state) {
+  const auto m = state.range(0), k = state.range(1), n = state.range(2);
+  Rng rng(8);
+  Tensor a = Tensor::randn(Shape{m, k}, rng);
+  Tensor b = Tensor::randn(Shape{n, k}, rng);
+  Tensor c(Shape{m, n});
+  for (auto _ : state) {
+    matmul_nt_into(a.data(), b.data(), c.data(), m, k, n);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * m * k * n);
+}
+BENCHMARK(BM_MatmulNt)->Args({10, 512, 90})->Args({4, 1536, 108});
+
 // The quantised GEMM at the same logical product as BM_WideLoweringGemm
 // (32 output channels × 288 taps × n positions, A quantised, B packed s8
 // ONCE outside the loop — weights pack at model-load time in the serving

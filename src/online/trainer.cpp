@@ -134,13 +134,6 @@ void Trainer::stop() {
 }
 
 void Trainer::loop() {
-  // Everything this thread runs directly — optimizer steps, losses, the
-  // slices of a one-replica train step — executes serially under the
-  // nested-region guard, never contending for the pool's in-flight task
-  // against a concurrently serving thread. Multi-replica budgets still fan
-  // their slices out through the shard runner queues (run_on_shard is
-  // safe to enqueue from here).
-  detail::NestedParallelRegion nested;
   while (!stop_requested_.load()) {
     bool trained = false;
     try {
@@ -203,6 +196,14 @@ data::Sample Trainer::make_tap_sample(const std::vector<Tensor>& normalized,
 }
 
 bool Trainer::round() {
+  // Both drivers (the background loop and run_rounds) run a round serially
+  // on the calling thread: optimizer steps, losses, the slices of a
+  // one-replica train step and the holdout gate. The fine-tune's kernels
+  // are too small to pay for a pool fan-out, and the pool's in-flight task
+  // may belong to a concurrently serving thread. Multi-replica budgets
+  // still fan their slices out through the shard runner queues
+  // (run_on_shard is safe to enqueue from here).
+  detail::NestedParallelRegion nested;
   const std::string stream = active_stream();
   if (stream.empty()) return false;
   const std::vector<Tensor> raw = tap_.snapshot(stream);

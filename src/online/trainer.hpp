@@ -21,17 +21,19 @@
 // sessions pick the new weights up at their next stitch-block boundary
 // with zero dropped or duplicated blocks (PR 5's hot-reload contract).
 //
-// Serving-latency isolation: the background thread always runs inside a
-// detail::NestedParallelRegion, so every parallel_for it issues executes
-// serially on the trainer thread and never contends for the pool's
-// in-flight task. The fine-tune step is GanTrainer's sliced step with
+// One execution mode: both drivers — the background thread and
+// run_rounds() — run every round inside a detail::NestedParallelRegion, so
+// each parallel_for the round issues executes serially on the calling
+// thread and never contends for the pool's in-flight task. The fine-tune
+// kernels are too small to pay for a pool fan-out, and serving latency is
+// untouched. The fine-tune step is GanTrainer's sliced step with
 // `config.trainer.replicas` workers; the default of 1 runs the slices
-// inline on the trainer thread, so the pool never sees the fine-tune and
-// serving latency is untouched. Budgets >= 2 (or 0, auto) enqueue slice
-// forwards/backwards on the shard runner queues via run_on_shard,
-// interleaving with dispatch rounds in queue order — training then shares
-// the shards, bounded by queue fairness; bench_online records the p99
-// impact. Fine-tuned weights are bit-identical for every budget.
+// inline, so the pool never sees the fine-tune. Budgets >= 2 (or 0, auto)
+// enqueue slice forwards/backwards on the shard runner queues via
+// run_on_shard, interleaving with dispatch rounds in queue order —
+// training then shares the shards, bounded by queue fairness;
+// bench_online records the p99 impact. Fine-tuned weights are
+// bit-identical for every budget and every pool size.
 //
 // Threading contract: start()/stop() and run_rounds() are caller-thread
 // operations and must not overlap each other; while the background thread
@@ -134,8 +136,9 @@ class Trainer {
   void stop();
   [[nodiscard]] bool running() const { return running_.load(); }
 
-  /// Synchronous driver: runs up to `rounds` fine-tune rounds inline on
-  /// the calling thread (rounds with too few tapped frames still count).
+  /// Synchronous driver: runs up to `rounds` fine-tune rounds serially on
+  /// the calling thread, exactly as the background loop runs them (rounds
+  /// with too few tapped frames still count).
   /// Must not overlap the background thread. Returns rounds that trained.
   int run_rounds(int rounds);
 

@@ -587,40 +587,82 @@ void gemm_nn(const float* pa, const float* pb, float* pc, std::int64_t m,
   }
 }
 
-// C[i0:i1, j0:j1] with C[i,j] (+)= dot(A row i, B row j); both rows are
-// contiguous of length k, so B needs no packing. Fixed four-lane reduction
-// over k (lane l sums k ≡ l mod 4, lanes combined in order) — deterministic
-// in k alone.
+// Eight float lanes; the NT kernel's per-element accumulator. Generic
+// vector arithmetic, so each MTSR_SIMD_CLONES clone lowers it to its own
+// ISA (one ymm register, or two xmm registers on the baseline).
+typedef float NtLanes __attribute__((vector_size(32)));
+
+// One R×C tile (R ≤ 2 A rows, C ≤ 4 B rows) of C (+)= A·Bᵀ at (i, j). Each
+// element keeps eight lanes (lane l sums a·b over k ≡ l mod 8, ascending,
+// for the whole 8-blocks), reduces them in one fixed tree, then adds the
+// k mod 8 tail in ascending k. Every tile shape runs exactly this per-
+// element sequence, so an element's bits depend on k alone — never on its
+// tile, its chunk, the pool size or the replica count. Always inlined, so
+// it compiles under the calling clone's ISA.
+template <int R, int C>
+[[gnu::always_inline]] inline void gemm_nt_tile(
+    const float* pa, const float* pb, float* pc, std::int64_t k,
+    std::int64_t ldc, std::int64_t i, std::int64_t j, bool accumulate) {
+  NtLanes acc[R][C] = {};
+  const std::int64_t k8 = k / 8 * 8;
+  for (std::int64_t kk = 0; kk < k8; kk += 8) {
+    NtLanes a[R], b[C];
+    for (int r = 0; r < R; ++r) {
+      std::memcpy(&a[r], pa + (i + r) * k + kk, sizeof(NtLanes));
+    }
+    for (int c = 0; c < C; ++c) {
+      std::memcpy(&b[c], pb + (j + c) * k + kk, sizeof(NtLanes));
+    }
+    for (int r = 0; r < R; ++r) {
+      for (int c = 0; c < C; ++c) acc[r][c] += a[r] * b[c];
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    const float* arow = pa + (i + r) * k;
+    for (int c = 0; c < C; ++c) {
+      const float* brow = pb + (j + c) * k;
+      const NtLanes& l = acc[r][c];
+      float sum = ((l[0] + l[4]) + (l[2] + l[6])) +
+                  ((l[1] + l[5]) + (l[3] + l[7]));
+      for (std::int64_t kk = k8; kk < k; ++kk) sum += arow[kk] * brow[kk];
+      float& out = pc[(i + r) * ldc + j + c];
+      out = accumulate ? out + sum : sum;
+    }
+  }
+}
+
+// One column strip, B rows [j, j + C) against A rows [i0, i1): full 2-row
+// tiles, then one single-row edge tile.
+template <int C>
+[[gnu::always_inline]] inline void gemm_nt_cols(
+    const float* pa, const float* pb, float* pc, std::int64_t k,
+    std::int64_t ldc, std::int64_t i0, std::int64_t i1, std::int64_t j,
+    bool accumulate) {
+  std::int64_t i = i0;
+  for (; i + 2 <= i1; i += 2) {
+    gemm_nt_tile<2, C>(pa, pb, pc, k, ldc, i, j, accumulate);
+  }
+  if (i < i1) gemm_nt_tile<1, C>(pa, pb, pc, k, ldc, i, j, accumulate);
+}
+
+// C[i0:i1, j0:j1] with C[i,j] (+)= dot(A row i, B row j). Both operands are
+// read as contiguous k-rows, so nothing is packed and no workspace is used;
+// the 2×4 register tile keeps eight independent accumulators in flight.
+// Four B rows stay L1-hot while the chunk's A rows stream past them.
 MTSR_SIMD_CLONES
 void gemm_nt_block(const float* pa, const float* pb, float* pc,
                    std::int64_t k, std::int64_t ldc, std::int64_t i0,
                    std::int64_t i1, std::int64_t j0, std::int64_t j1,
                    bool accumulate) {
-  constexpr std::int64_t kJt = 16;  // B rows kept hot per tile
-  for (std::int64_t jj0 = j0; jj0 < j1; jj0 += kJt) {
-    const std::int64_t jj1 = std::min(j1, jj0 + kJt);
-    for (std::int64_t i = i0; i < i1; ++i) {
-      const float* arow = pa + i * k;
-      float* crow = pc + i * ldc;
-      for (std::int64_t j = jj0; j < jj1; ++j) {
-        const float* brow = pb + j * k;
-        float acc0 = 0.f, acc1 = 0.f, acc2 = 0.f, acc3 = 0.f;
-        std::int64_t kk = 0;
-        for (; kk + 4 <= k; kk += 4) {
-          acc0 += arow[kk + 0] * brow[kk + 0];
-          acc1 += arow[kk + 1] * brow[kk + 1];
-          acc2 += arow[kk + 2] * brow[kk + 2];
-          acc3 += arow[kk + 3] * brow[kk + 3];
-        }
-        float acc = (acc0 + acc1) + (acc2 + acc3);
-        for (; kk < k; ++kk) acc += arow[kk] * brow[kk];
-        if (accumulate) {
-          crow[j] += acc;
-        } else {
-          crow[j] = acc;
-        }
-      }
-    }
+  std::int64_t j = j0;
+  for (; j + 4 <= j1; j += 4) {
+    gemm_nt_cols<4>(pa, pb, pc, k, ldc, i0, i1, j, accumulate);
+  }
+  switch (j1 - j) {
+    case 3: gemm_nt_cols<3>(pa, pb, pc, k, ldc, i0, i1, j, accumulate); break;
+    case 2: gemm_nt_cols<2>(pa, pb, pc, k, ldc, i0, i1, j, accumulate); break;
+    case 1: gemm_nt_cols<1>(pa, pb, pc, k, ldc, i0, i1, j, accumulate); break;
+    default: break;
   }
 }
 
@@ -1190,29 +1232,10 @@ Tensor im2col(const Tensor& input, int kh, int kw, int stride_h, int stride_w,
   const std::int64_t ow = (w + 2 * pad_w - kw) / stride_w + 1;
   check(oh > 0 && ow > 0, "im2col produces empty output for these params");
 
+  // One image is the batched lowering at n = 1 (same row layout).
   Tensor out(Shape{c * kh * kw, oh * ow});
-  float* po = out.data();
-  const float* pi = input.data();
-  for (std::int64_t ch = 0; ch < c; ++ch) {
-    for (int ky = 0; ky < kh; ++ky) {
-      for (int kx = 0; kx < kw; ++kx) {
-        const std::int64_t row = (ch * kh + ky) * kw + kx;
-        float* orow = po + row * oh * ow;
-        for (std::int64_t oy = 0; oy < oh; ++oy) {
-          const std::int64_t iy = oy * stride_h - pad_h + ky;
-          if (iy < 0 || iy >= h) {
-            std::fill(orow + oy * ow, orow + (oy + 1) * ow, 0.f);
-            continue;
-          }
-          const float* irow = pi + (ch * h + iy) * w;
-          for (std::int64_t ox = 0; ox < ow; ++ox) {
-            const std::int64_t ix = ox * stride_w - pad_w + kx;
-            orow[oy * ow + ox] = (ix >= 0 && ix < w) ? irow[ix] : 0.f;
-          }
-        }
-      }
-    }
-  }
+  im2col_batched_into(input.data(), 1, c, h, w, kh, kw, stride_h, stride_w,
+                      pad_h, pad_w, out.data());
   return out;
 }
 
@@ -1227,25 +1250,8 @@ Tensor col2im(const Tensor& columns, std::int64_t channels,
   check(columns.dim(1) == oh * ow, "col2im columns col count mismatch");
 
   Tensor out(Shape{channels, height, width});
-  float* po = out.data();
-  const float* pc = columns.data();
-  for (std::int64_t ch = 0; ch < channels; ++ch) {
-    for (int ky = 0; ky < kh; ++ky) {
-      for (int kx = 0; kx < kw; ++kx) {
-        const std::int64_t row = (ch * kh + ky) * kw + kx;
-        const float* crow = pc + row * oh * ow;
-        for (std::int64_t oy = 0; oy < oh; ++oy) {
-          const std::int64_t iy = oy * stride_h - pad_h + ky;
-          if (iy < 0 || iy >= height) continue;
-          float* orow = po + (ch * height + iy) * width;
-          for (std::int64_t ox = 0; ox < ow; ++ox) {
-            const std::int64_t ix = ox * stride_w - pad_w + kx;
-            if (ix >= 0 && ix < width) orow[ix] += crow[oy * ow + ox];
-          }
-        }
-      }
-    }
-  }
+  col2im_batched_into(columns.data(), 1, channels, height, width, kh, kw,
+                      stride_h, stride_w, pad_h, pad_w, out.data());
   return out;
 }
 
@@ -1299,6 +1305,38 @@ Tensor im2col_batched(const Tensor& input, int kh, int kw, int stride_h,
   return out;
 }
 
+namespace {
+
+// Output coordinates [lo, hi) of one tap whose input coordinate
+// o * stride - pad + tap lands inside [0, extent).
+struct TapRange {
+  std::int64_t lo = 0, hi = 0;
+};
+
+TapRange tap_range(std::int64_t out, std::int64_t extent, int tap, int stride,
+                   int pad) {
+  const std::int64_t first = pad - tap;               // least o * stride
+  const std::int64_t last = extent - 1 + pad - tap;   // greatest o * stride
+  if (last < 0) return {};
+  const std::int64_t lo = first > 0 ? (first + stride - 1) / stride : 0;
+  const std::int64_t hi = std::min(out, last / stride + 1);
+  return {lo, std::max(lo, hi)};
+}
+
+// dst[x * stride] += src[x] for x in [0, len): one add per destination
+// element, so the unit-stride loop vectorises without reordering any sum.
+inline void scatter_add_run(float* __restrict dst,
+                            const float* __restrict src, std::int64_t len,
+                            int stride) {
+  if (stride == 1) {
+    for (std::int64_t x = 0; x < len; ++x) dst[x] += src[x];
+  } else {
+    for (std::int64_t x = 0; x < len; ++x) dst[x * stride] += src[x];
+  }
+}
+
+}  // namespace
+
 void col2im_batched_into(const float* pc, std::int64_t n,
                          std::int64_t channels, std::int64_t height,
                          std::int64_t width, int kh, int kw, int stride_h,
@@ -1306,7 +1344,9 @@ void col2im_batched_into(const float* pc, std::int64_t n,
   const std::int64_t oh = (height + 2 * pad_h - kh) / stride_h + 1;
   const std::int64_t ow = (width + 2 * pad_w - kw) / stride_w + 1;
   // Samples write disjoint output chunks; scatter order within a sample is
-  // fixed, so results are pool-size independent.
+  // fixed, so results are pool-size independent. Each tap's in-bounds
+  // output rows/columns are hoisted out of the loops, which visit the
+  // surviving elements in the same order as a per-element bounds test.
   parallel_for(n, [&](std::int64_t i) {
     float* img_base = po + i * channels * height * width;
     std::memset(img_base, 0,
@@ -1314,17 +1354,18 @@ void col2im_batched_into(const float* pc, std::int64_t n,
                     sizeof(float));
     for (std::int64_t ch = 0; ch < channels; ++ch) {
       for (int ky = 0; ky < kh; ++ky) {
+        const TapRange ys = tap_range(oh, height, ky, stride_h, pad_h);
         for (int kx = 0; kx < kw; ++kx) {
+          const TapRange xs = tap_range(ow, width, kx, stride_w, pad_w);
+          if (xs.lo == xs.hi) continue;
           const std::int64_t row = (ch * kh + ky) * kw + kx;
           const float* crow = pc + row * n * oh * ow + i * oh * ow;
-          for (std::int64_t oy = 0; oy < oh; ++oy) {
+          for (std::int64_t oy = ys.lo; oy < ys.hi; ++oy) {
             const std::int64_t iy = oy * stride_h - pad_h + ky;
-            if (iy < 0 || iy >= height) continue;
-            float* orow = img_base + (ch * height + iy) * width;
-            for (std::int64_t ox = 0; ox < ow; ++ox) {
-              const std::int64_t ix = ox * stride_w - pad_w + kx;
-              if (ix >= 0 && ix < width) orow[ix] += crow[oy * ow + ox];
-            }
+            float* orow = img_base + (ch * height + iy) * width +
+                          (xs.lo * stride_w - pad_w + kx);
+            scatter_add_run(orow, crow + oy * ow + xs.lo, xs.hi - xs.lo,
+                            stride_w);
           }
         }
       }
@@ -1424,6 +1465,7 @@ void col2vol_batched_into(const float* pc, std::int64_t n,
   const std::int64_t od = (depth + 2 * pad_d - kd) / stride_d + 1;
   const std::int64_t oh = (height + 2 * pad_h - kh) / stride_h + 1;
   const std::int64_t ow = (width + 2 * pad_w - kw) / stride_w + 1;
+  // Same hoisted tap ranges and element order as col2im_batched_into.
   parallel_for(n, [&](std::int64_t i) {
     float* vol_base = po + i * channels * depth * height * width;
     std::memset(vol_base, 0,
@@ -1431,25 +1473,25 @@ void col2vol_batched_into(const float* pc, std::int64_t n,
                     sizeof(float));
     for (std::int64_t ch = 0; ch < channels; ++ch) {
       for (int kz = 0; kz < kd; ++kz) {
+        const TapRange zs = tap_range(od, depth, kz, stride_d, pad_d);
         for (int ky = 0; ky < kh; ++ky) {
+          const TapRange ys = tap_range(oh, height, ky, stride_h, pad_h);
           for (int kx = 0; kx < kw; ++kx) {
+            const TapRange xs = tap_range(ow, width, kx, stride_w, pad_w);
+            if (xs.lo == xs.hi) continue;
             const std::int64_t row =
                 ((ch * kd + kz) * kh + ky) * kw + kx;
             const float* crow =
                 pc + row * n * od * oh * ow + i * od * oh * ow;
-            for (std::int64_t oz = 0; oz < od; ++oz) {
+            for (std::int64_t oz = zs.lo; oz < zs.hi; ++oz) {
               const std::int64_t iz = oz * stride_d - pad_d + kz;
-              if (iz < 0 || iz >= depth) continue;
-              for (std::int64_t oy = 0; oy < oh; ++oy) {
+              for (std::int64_t oy = ys.lo; oy < ys.hi; ++oy) {
                 const std::int64_t iy = oy * stride_h - pad_h + ky;
-                if (iy < 0 || iy >= height) continue;
                 float* orow =
-                    vol_base + ((ch * depth + iz) * height + iy) * width;
-                const float* cline = crow + (oz * oh + oy) * ow;
-                for (std::int64_t ox = 0; ox < ow; ++ox) {
-                  const std::int64_t ix = ox * stride_w - pad_w + kx;
-                  if (ix >= 0 && ix < width) orow[ix] += cline[ox];
-                }
+                    vol_base + ((ch * depth + iz) * height + iy) * width +
+                    (xs.lo * stride_w - pad_w + kx);
+                scatter_add_run(orow, crow + (oz * oh + oy) * ow + xs.lo,
+                                xs.hi - xs.lo, stride_w);
               }
             }
           }

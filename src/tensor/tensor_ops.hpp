@@ -52,7 +52,10 @@ void matmul_into(const float* a, const float* b, float* c, std::int64_t m,
 void matmul_tn_into(const float* a, const float* b, float* c, std::int64_t k,
                     std::int64_t m, std::int64_t n, bool accumulate = false);
 
-/// c = a (m×k) * bᵀ for b stored (n×k) row-major.
+/// c = a (m×k) * bᵀ for b stored (n×k) row-major. Each element's rounding
+/// depends on k alone, never on the pool size or on which other rows and
+/// columns share the call: a sub-block of the operands gives bitwise the
+/// same elements as the full product.
 void matmul_nt_into(const float* a, const float* b, float* c, std::int64_t m,
                     std::int64_t k, std::int64_t n, bool accumulate = false);
 

@@ -4,13 +4,16 @@
 // checkpoint promotion with staleness bookkeeping, forced-rejection leaving
 // serving bit-identical (background trainer running or not), concurrent
 // serve+train with zero dropped frames (the TSan leg runs this file),
-// fine-tunes bit-identical across replica counts, and torn-checkpoint
+// fine-tunes bit-identical across replica counts and pool sizes (run_rounds
+// never touching the pool at one replica), and torn-checkpoint
 // rejection on top of the atomic save path.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -392,6 +395,66 @@ TEST(OnlineTrainer, FineTuneBitIdenticalAcrossReplicaCounts) {
   for (std::size_t i = 0; i < one.outputs.size(); ++i) {
     expect_bitwise(two.outputs[i], one.outputs[i],
                    "promoted serving across replica counts");
+  }
+}
+
+std::int64_t pool_tasks() {
+  std::int64_t tasks = 0;
+  for (const PoolShardStats& shard : pool_shard_stats()) tasks += shard.tasks;
+  return tasks;
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+// run_rounds runs its rounds exactly as the background loop does: serially
+// on the calling thread. At the default budget of one replica the pool
+// never sees a task, and the fine-tuned parameters (the candidate
+// checkpoints) are bitwise the same on a 1- and a 4-worker pool.
+TEST(OnlineTrainer, RunRoundsIsSerialAndBitIdenticalAcrossPoolSizes) {
+  PoolGuard guard;
+  data::TrafficDataset dataset = small_dataset(518);
+  core::MtsrPipeline pipeline(small_pipeline_config(), dataset);
+
+  auto run = [&](int workers) {
+    set_num_threads(workers);
+    serving::Engine engine;
+    engine.register_model(
+        "zipnet",
+        std::make_shared<serving::ZipNetModel>(pipeline.generator()));
+    const std::string prefix = "test-online-pool-" + std::to_string(workers);
+    TrainerConfig config = small_online_config(dataset, prefix.c_str());
+    config.trainer.batch_size = 8;      // four slices, run inline
+    config.max_nrmse_regression = 1e6;  // promote every candidate
+    Trainer trainer(engine, pipeline.generator(), config);
+    EXPECT_EQ(trainer.config().trainer.replicas, 1);
+
+    const auto id = engine.open_session(stream_config(dataset));
+    for (std::int64_t t = 0; t < 10; ++t) {
+      (void)engine.push(id, dataset.frame(t));
+    }
+    const std::int64_t tasks_before = pool_tasks();
+    EXPECT_EQ(trainer.run_rounds(2), 2);
+    EXPECT_EQ(pool_tasks(), tasks_before) << "pool of " << workers;
+    EXPECT_EQ(trainer.stats().promoted, 2);
+    std::vector<std::string> checkpoints;
+    for (const auto& path : trainer.retained_checkpoints()) {
+      checkpoints.push_back(file_bytes(path));
+    }
+    engine.close_session(id);
+    remove_checkpoints(trainer);
+    return checkpoints;
+  };
+
+  const std::vector<std::string> one = run(1);
+  const std::vector<std::string> four = run(4);
+  ASSERT_EQ(one.size(), 2u);
+  ASSERT_EQ(four.size(), one.size());
+  for (std::size_t i = 0; i < one.size(); ++i) {
+    EXPECT_FALSE(one[i].empty());
+    EXPECT_TRUE(one[i] == four[i]) << "candidate " << i << " differs";
   }
 }
 

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstring>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "src/common/check.hpp"
@@ -185,6 +186,9 @@ TEST(BlockedGemm, MatmulTnMatchesNaiveReference) {
   expect_close(matmul_tn(a, b), naive_matmul(naive_transpose(a), b));
 }
 
+// The register-tiled NT kernel against the naive product, including every
+// edge of its 2×4 tile (m, n = 1..9 and 37) and of its eight-lane k loop
+// (k below, at and above multiples of 8), overwriting and accumulating.
 TEST(BlockedGemm, MatmulNtMatchesNaiveReference) {
   Rng rng(43);
   Tensor a = Tensor::randn(Shape{37, 53}, rng);  // (m, k)
@@ -194,6 +198,66 @@ TEST(BlockedGemm, MatmulNtMatchesNaiveReference) {
   Tensor c = Tensor::randn(Shape{2, 19}, rng);
   Tensor d = Tensor::randn(Shape{203, 19}, rng);
   expect_close(matmul_nt(c, d), naive_matmul(c, naive_transpose(d)));
+
+  const std::vector<std::int64_t> dims = {1, 2, 3, 4, 5, 6, 7, 8, 9, 37};
+  for (const std::int64_t k : {1, 7, 8, 9, 17, 515}) {
+    for (const std::int64_t m : dims) {
+      for (const std::int64_t n : dims) {
+        Tensor x = Tensor::randn(Shape{m, k}, rng);
+        Tensor y = Tensor::randn(Shape{n, k}, rng);
+        Tensor c0 = Tensor::randn(Shape{m, n}, rng);
+        const Tensor want = naive_matmul(x, naive_transpose(y));
+        for (const bool accumulate : {false, true}) {
+          Tensor got = c0.clone();
+          matmul_nt_into(x.data(), y.data(), got.data(), m, k, n, accumulate);
+          // Sums of k unit-variance products: scale the bound with k.
+          const float tol = 1e-5f * static_cast<float>(k);
+          for (std::int64_t i = 0; i < m * n; ++i) {
+            const float expect =
+                want.flat(i) + (accumulate ? c0.flat(i) : 0.f);
+            ASSERT_NEAR(got.flat(i), expect, tol)
+                << "m=" << m << " k=" << k << " n=" << n
+                << " accumulate=" << accumulate << " at " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Every element of a product computed over a sub-block of A's rows and B's
+// rows is bitwise the same element of the full product: the sub-block
+// shifts every element to another tile position (edge tiles included) and
+// another chunk, which must not change its arithmetic.
+TEST(BlockedGemm, MatmulNtSubBlocksAreBitwiseFullProduct) {
+  Rng rng(49);
+  const std::int64_t m = 37, n = 41;
+  for (const std::int64_t k : {9, 515}) {
+    Tensor a = Tensor::randn(Shape{m, k}, rng);
+    Tensor b = Tensor::randn(Shape{n, k}, rng);
+    Tensor full(Shape{m, n});
+    matmul_nt_into(a.data(), b.data(), full.data(), m, k, n);
+    for (const auto [i0, i1, j0, j1] :
+         {std::array<std::int64_t, 4>{1, 36, 3, 40},
+          std::array<std::int64_t, 4>{5, 6, 0, 41},
+          std::array<std::int64_t, 4>{0, 37, 7, 10},
+          std::array<std::int64_t, 4>{2, 19, 1, 2},
+          std::array<std::int64_t, 4>{11, 14, 13, 38}}) {
+      const std::int64_t sm = i1 - i0, sn = j1 - j0;
+      Tensor sub(Shape{sm, sn});
+      matmul_nt_into(a.data() + i0 * k, b.data() + j0 * k, sub.data(), sm, k,
+                     sn);
+      for (std::int64_t i = 0; i < sm; ++i) {
+        for (std::int64_t j = 0; j < sn; ++j) {
+          const float want = full.at(i0 + i, j0 + j);
+          const float got = sub.at(i, j);
+          ASSERT_EQ(std::memcmp(&got, &want, sizeof(float)), 0)
+              << "k=" << k << " block [" << i0 << "," << i1 << ")x[" << j0
+              << "," << j1 << ") at (" << i << "," << j << ")";
+        }
+      }
+    }
+  }
 }
 
 TEST(BlockedGemm, TransposeMatchesNaiveReference) {
@@ -244,6 +308,134 @@ TEST(BatchedLowering, Col2imBatchedMatchesPerSample) {
     for (std::int64_t j = 0; j < per.size(); ++j) {
       EXPECT_EQ(got.flat(j), per.flat(j));
     }
+  }
+}
+
+// The scatter loops as they were written before the in-bounds tap ranges
+// were hoisted: a bounds test per element. The kernels must reproduce
+// them bit for bit (same elements, same add order).
+Tensor branchy_col2im_batched(const Tensor& columns, std::int64_t n,
+                              std::int64_t channels, std::int64_t height,
+                              std::int64_t width, int kh, int kw, int stride_h,
+                              int stride_w, int pad_h, int pad_w) {
+  const std::int64_t oh = (height + 2 * pad_h - kh) / stride_h + 1;
+  const std::int64_t ow = (width + 2 * pad_w - kw) / stride_w + 1;
+  Tensor out(Shape{n, channels, height, width});
+  const float* pc = columns.data();
+  for (std::int64_t i = 0; i < n; ++i) {
+    float* img_base = out.data() + i * channels * height * width;
+    for (std::int64_t ch = 0; ch < channels; ++ch) {
+      for (int ky = 0; ky < kh; ++ky) {
+        for (int kx = 0; kx < kw; ++kx) {
+          const std::int64_t row = (ch * kh + ky) * kw + kx;
+          const float* crow = pc + row * n * oh * ow + i * oh * ow;
+          for (std::int64_t oy = 0; oy < oh; ++oy) {
+            const std::int64_t iy = oy * stride_h - pad_h + ky;
+            if (iy < 0 || iy >= height) continue;
+            float* orow = img_base + (ch * height + iy) * width;
+            for (std::int64_t ox = 0; ox < ow; ++ox) {
+              const std::int64_t ix = ox * stride_w - pad_w + kx;
+              if (ix >= 0 && ix < width) orow[ix] += crow[oy * ow + ox];
+            }
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+Tensor branchy_col2vol_batched(const Tensor& columns, std::int64_t n,
+                               std::int64_t channels, std::int64_t depth,
+                               std::int64_t height, std::int64_t width,
+                               std::array<int, 3> k, std::array<int, 3> s,
+                               std::array<int, 3> p) {
+  const std::int64_t od = (depth + 2 * p[0] - k[0]) / s[0] + 1;
+  const std::int64_t oh = (height + 2 * p[1] - k[1]) / s[1] + 1;
+  const std::int64_t ow = (width + 2 * p[2] - k[2]) / s[2] + 1;
+  Tensor out(Shape{n, channels, depth, height, width});
+  const float* pc = columns.data();
+  for (std::int64_t i = 0; i < n; ++i) {
+    float* vol_base = out.data() + i * channels * depth * height * width;
+    for (std::int64_t ch = 0; ch < channels; ++ch) {
+      for (int kz = 0; kz < k[0]; ++kz) {
+        for (int ky = 0; ky < k[1]; ++ky) {
+          for (int kx = 0; kx < k[2]; ++kx) {
+            const std::int64_t row = ((ch * k[0] + kz) * k[1] + ky) * k[2] + kx;
+            const float* crow = pc + row * n * od * oh * ow + i * od * oh * ow;
+            for (std::int64_t oz = 0; oz < od; ++oz) {
+              const std::int64_t iz = oz * s[0] - p[0] + kz;
+              if (iz < 0 || iz >= depth) continue;
+              for (std::int64_t oy = 0; oy < oh; ++oy) {
+                const std::int64_t iy = oy * s[1] - p[1] + ky;
+                if (iy < 0 || iy >= height) continue;
+                float* orow =
+                    vol_base + ((ch * depth + iz) * height + iy) * width;
+                const float* cline = crow + (oz * oh + oy) * ow;
+                for (std::int64_t ox = 0; ox < ow; ++ox) {
+                  const std::int64_t ix = ox * s[2] - p[2] + kx;
+                  if (ix >= 0 && ix < width) orow[ix] += cline[ox];
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+void expect_bitwise(const Tensor& got, const Tensor& want) {
+  ASSERT_EQ(got.shape(), want.shape());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        static_cast<std::size_t>(got.size()) * sizeof(float)),
+            0);
+}
+
+TEST(BatchedLowering, Col2imBatchedIsBitwiseBranchyScatter) {
+  Rng rng(50);
+  const std::int64_t n = 2, c = 2, h = 7, w = 6;
+  for (const int k : {3, 4}) {
+    for (const int s : {1, 2}) {
+      for (const int p : {0, 1, 2}) {
+        SCOPED_TRACE("k=" + std::to_string(k) + " s=" + std::to_string(s) +
+                     " p=" + std::to_string(p));
+        const std::int64_t oh = (h + 2 * p - k) / s + 1;
+        const std::int64_t ow = (w + 2 * p - k) / s + 1;
+        Tensor cols = Tensor::randn(Shape{c * k * k, n * oh * ow}, rng);
+        expect_bitwise(col2im_batched(cols, n, c, h, w, k, k, s, s, p, p),
+                       branchy_col2im_batched(cols, n, c, h, w, k, k, s, s, p,
+                                              p));
+      }
+    }
+  }
+}
+
+TEST(BatchedLowering, Col2volBatchedIsBitwiseBranchyScatter) {
+  Rng rng(51);
+  const std::int64_t n = 2, c = 2, d = 4, h = 6, w = 5;
+  std::vector<std::array<std::array<int, 3>, 3>> geometries;  // {k, s, p}
+  for (const int k : {3, 4}) {
+    for (const int s : {1, 2}) {
+      for (const int p : {0, 1, 2}) geometries.push_back({{{k, k, k}, {s, s, s}, {p, p, p}}});
+    }
+  }
+  // ZipNet's 3-D upscale deconvolution: (3, 4, 4) taps, stride (1, 2, 2),
+  // padding 1 — the layer whose float forward is this scatter.
+  geometries.push_back({{{3, 4, 4}, {1, 2, 2}, {1, 1, 1}}});
+  for (const auto& [k, s, p] : geometries) {
+    SCOPED_TRACE("k=" + std::to_string(k[0]) + "," + std::to_string(k[1]) +
+                 " s=" + std::to_string(s[0]) + "," + std::to_string(s[1]) +
+                 " p=" + std::to_string(p[0]));
+    const std::int64_t od = (d + 2 * p[0] - k[0]) / s[0] + 1;
+    const std::int64_t oh = (h + 2 * p[1] - k[1]) / s[1] + 1;
+    const std::int64_t ow = (w + 2 * p[2] - k[2]) / s[2] + 1;
+    Tensor cols =
+        Tensor::randn(Shape{c * k[0] * k[1] * k[2], n * od * oh * ow}, rng);
+    expect_bitwise(col2vol_batched(cols, n, c, d, h, w, k[0], k[1], k[2], s[0],
+                                   s[1], s[2], p[0], p[1], p[2]),
+                   branchy_col2vol_batched(cols, n, c, d, h, w, k, s, p));
   }
 }
 
