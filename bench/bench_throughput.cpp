@@ -66,10 +66,13 @@ void BM_WideLoweringGemm(benchmark::State& state) {
 BENCHMARK(BM_WideLoweringGemm)->Arg(8192)->Arg(32768);
 
 // The weight-gradient product of a lowered conv's backward pass,
-// dW = dY · colsᵀ (m out-channels × k positions against n taps × k), at
-// two shapes of the online fine-tune step (16×16 window, 2 samples per
-// slice): a zipper Conv2d(10→10, 3×3) and the last 3-D stage's
-// Conv3d(4→4, 3×3×3) over depth 3.
+// dW = dY · colsᵀ (m out-channels × k positions against n taps × k), at a
+// 16×16 window with 2 samples per slice. Two shapes of the online fine-tune
+// step: a zipper Conv2d(10→10, 3×3) and the last 3-D stage's
+// Conv3d(4→4, 3×3×3) over depth 3. Then the default discriminator
+// (d = 8): its six Conv2d(3×3) blocks, k shrinking 512 → 8 as the stride-2
+// blocks halve the map while m grows to 4d and n to 4d·9, and the
+// Dense(4d → 1) head, whose forward is the same product at n = 1.
 void BM_MatmulNt(benchmark::State& state) {
   const auto m = state.range(0), k = state.range(1), n = state.range(2);
   Rng rng(8);
@@ -83,7 +86,11 @@ void BM_MatmulNt(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * m * k * n);
 }
-BENCHMARK(BM_MatmulNt)->Args({10, 512, 90})->Args({4, 1536, 108});
+BENCHMARK(BM_MatmulNt)
+    ->Args({10, 512, 90})->Args({4, 1536, 108})
+    ->Args({8, 512, 9})->Args({8, 128, 72})->Args({16, 128, 72})
+    ->Args({16, 32, 144})->Args({32, 32, 144})->Args({32, 8, 288})
+    ->Args({2, 32, 1});
 
 // The quantised GEMM at the same logical product as BM_WideLoweringGemm
 // (32 output channels × 288 taps × n positions, A quantised, B packed s8

@@ -1149,19 +1149,29 @@ void matmul_tn_into(const float* a, const float* b, float* c, std::int64_t k,
   gemm_nn(at, b, c, m, k, n, accumulate, float_panel_kernel().fn);
 }
 
+// Fewest multiply-adds worth one pooled NT chunk. The discriminator's
+// weight-gradient products (10⁴–10⁵ MACs) ran slower fanned out in
+// 16-line chunks than on one thread: below this the pool's wake-up and the
+// cores' traffic on C's cache lines outweigh the chunk's arithmetic.
+constexpr std::int64_t kNtChunkMacs = std::int64_t{1} << 16;
+
 void matmul_nt_into(const float* a, const float* b, float* c, std::int64_t m,
                     std::int64_t k, std::int64_t n, bool accumulate) {
-  if (m >= n) {
-    parallel_for_grain(m, kRowGrain,
-                       [&](std::int64_t i0, std::int64_t i1, int) {
-      gemm_nt_block(a, b, c, k, n, i0, i1, 0, n, accumulate);
-    });
-  } else {
-    parallel_for_grain(n, kRowGrain,
-                       [&](std::int64_t j0, std::int64_t j1, int) {
-      gemm_nt_block(a, b, c, k, n, 0, m, j0, j1, accumulate);
-    });
-  }
+  // Split C's longer side into chunks of at least kNtChunkMacs. An
+  // element's bits never depend on the split.
+  const bool by_rows = m >= n;
+  const std::int64_t line_macs =
+      std::max<std::int64_t>(1, (by_rows ? n : m) * k);
+  const std::int64_t grain =
+      std::max(kRowGrain, (kNtChunkMacs + line_macs - 1) / line_macs);
+  parallel_for_grain(by_rows ? m : n, grain,
+                     [&](std::int64_t l0, std::int64_t l1, int) {
+    if (by_rows) {
+      gemm_nt_block(a, b, c, k, n, l0, l1, 0, n, accumulate);
+    } else {
+      gemm_nt_block(a, b, c, k, n, 0, m, l0, l1, accumulate);
+    }
+  });
 }
 
 void transpose_into(const float* a, std::int64_t m, std::int64_t n,
@@ -1232,10 +1242,29 @@ Tensor im2col(const Tensor& input, int kh, int kw, int stride_h, int stride_w,
   const std::int64_t ow = (w + 2 * pad_w - kw) / stride_w + 1;
   check(oh > 0 && ow > 0, "im2col produces empty output for these params");
 
-  // One image is the batched lowering at n = 1 (same row layout).
   Tensor out(Shape{c * kh * kw, oh * ow});
-  im2col_batched_into(input.data(), 1, c, h, w, kh, kw, stride_h, stride_w,
-                      pad_h, pad_w, out.data());
+  float* po = out.data();
+  const float* pi = input.data();
+  for (std::int64_t ch = 0; ch < c; ++ch) {
+    for (int ky = 0; ky < kh; ++ky) {
+      for (int kx = 0; kx < kw; ++kx) {
+        const std::int64_t row = (ch * kh + ky) * kw + kx;
+        float* orow = po + row * oh * ow;
+        for (std::int64_t oy = 0; oy < oh; ++oy) {
+          const std::int64_t iy = oy * stride_h - pad_h + ky;
+          if (iy < 0 || iy >= h) {
+            std::fill(orow + oy * ow, orow + (oy + 1) * ow, 0.f);
+            continue;
+          }
+          const float* irow = pi + (ch * h + iy) * w;
+          for (std::int64_t ox = 0; ox < ow; ++ox) {
+            const std::int64_t ix = ox * stride_w - pad_w + kx;
+            orow[oy * ow + ox] = (ix >= 0 && ix < w) ? irow[ix] : 0.f;
+          }
+        }
+      }
+    }
+  }
   return out;
 }
 
@@ -1250,8 +1279,25 @@ Tensor col2im(const Tensor& columns, std::int64_t channels,
   check(columns.dim(1) == oh * ow, "col2im columns col count mismatch");
 
   Tensor out(Shape{channels, height, width});
-  col2im_batched_into(columns.data(), 1, channels, height, width, kh, kw,
-                      stride_h, stride_w, pad_h, pad_w, out.data());
+  float* po = out.data();
+  const float* pc = columns.data();
+  for (std::int64_t ch = 0; ch < channels; ++ch) {
+    for (int ky = 0; ky < kh; ++ky) {
+      for (int kx = 0; kx < kw; ++kx) {
+        const std::int64_t row = (ch * kh + ky) * kw + kx;
+        const float* crow = pc + row * oh * ow;
+        for (std::int64_t oy = 0; oy < oh; ++oy) {
+          const std::int64_t iy = oy * stride_h - pad_h + ky;
+          if (iy < 0 || iy >= height) continue;
+          float* orow = po + (ch * height + iy) * width;
+          for (std::int64_t ox = 0; ox < ow; ++ox) {
+            const std::int64_t ix = ox * stride_w - pad_w + kx;
+            if (ix >= 0 && ix < width) orow[ix] += crow[oy * ow + ox];
+          }
+        }
+      }
+    }
+  }
   return out;
 }
 

@@ -287,64 +287,52 @@ TEST(BatchedLowering, Im2colBatchedMatchesPerSample) {
   }
 }
 
+void expect_bitwise(const Tensor& got, const Tensor& want) {
+  ASSERT_EQ(got.shape(), want.shape());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        static_cast<std::size_t>(got.size()) * sizeof(float)),
+            0);
+}
+
+// The batched scatter against the single-image col2im() (a bounds test per
+// element) run on each sample's slice of the columns: bit for bit, over
+// strides {1, 2}, pads {0, 1, 2} and kernels {3, 4} (the k=4, s=2, p=1
+// upscaling geometry among them) plus one asymmetric geometry.
 TEST(BatchedLowering, Col2imBatchedMatchesPerSample) {
   Rng rng(46);
-  const std::int64_t n = 2, c = 2, h = 6, w = 5;
-  const int kh = 3, kw = 3, sh = 1, sw = 2, ph = 1, pw = 1;
-  const std::int64_t oh = (h + 2 * ph - kh) / sh + 1;
-  const std::int64_t ow = (w + 2 * pw - kw) / sw + 1;
-  Tensor cols = Tensor::randn(Shape{c * kh * kw, n * oh * ow}, rng);
-  Tensor batched = col2im_batched(cols, n, c, h, w, kh, kw, sh, sw, ph, pw);
-  for (std::int64_t i = 0; i < n; ++i) {
-    // Slice sample i's columns back out and run the per-sample adjoint.
-    Tensor per_cols(Shape{c * kh * kw, oh * ow});
-    for (std::int64_t r = 0; r < per_cols.dim(0); ++r) {
-      for (std::int64_t p = 0; p < oh * ow; ++p) {
-        per_cols.at(r, p) = cols.at(r, i * oh * ow + p);
-      }
-    }
-    Tensor per = col2im(per_cols, c, h, w, kh, kw, sh, sw, ph, pw);
-    Tensor got = select0(batched, i);
-    for (std::int64_t j = 0; j < per.size(); ++j) {
-      EXPECT_EQ(got.flat(j), per.flat(j));
+  const std::int64_t n = 2, c = 2, h = 7, w = 6;
+  std::vector<std::array<int, 6>> geometries;  // {kh, kw, sh, sw, ph, pw}
+  for (const int k : {3, 4}) {
+    for (const int s : {1, 2}) {
+      for (const int p : {0, 1, 2}) geometries.push_back({k, k, s, s, p, p});
     }
   }
-}
-
-// The scatter loops as they were written before the in-bounds tap ranges
-// were hoisted: a bounds test per element. The kernels must reproduce
-// them bit for bit (same elements, same add order).
-Tensor branchy_col2im_batched(const Tensor& columns, std::int64_t n,
-                              std::int64_t channels, std::int64_t height,
-                              std::int64_t width, int kh, int kw, int stride_h,
-                              int stride_w, int pad_h, int pad_w) {
-  const std::int64_t oh = (height + 2 * pad_h - kh) / stride_h + 1;
-  const std::int64_t ow = (width + 2 * pad_w - kw) / stride_w + 1;
-  Tensor out(Shape{n, channels, height, width});
-  const float* pc = columns.data();
-  for (std::int64_t i = 0; i < n; ++i) {
-    float* img_base = out.data() + i * channels * height * width;
-    for (std::int64_t ch = 0; ch < channels; ++ch) {
-      for (int ky = 0; ky < kh; ++ky) {
-        for (int kx = 0; kx < kw; ++kx) {
-          const std::int64_t row = (ch * kh + ky) * kw + kx;
-          const float* crow = pc + row * n * oh * ow + i * oh * ow;
-          for (std::int64_t oy = 0; oy < oh; ++oy) {
-            const std::int64_t iy = oy * stride_h - pad_h + ky;
-            if (iy < 0 || iy >= height) continue;
-            float* orow = img_base + (ch * height + iy) * width;
-            for (std::int64_t ox = 0; ox < ow; ++ox) {
-              const std::int64_t ix = ox * stride_w - pad_w + kx;
-              if (ix >= 0 && ix < width) orow[ix] += crow[oy * ow + ox];
-            }
-          }
+  geometries.push_back({3, 3, 1, 2, 1, 1});
+  for (const auto& [kh, kw, sh, sw, ph, pw] : geometries) {
+    SCOPED_TRACE("k=" + std::to_string(kh) + "x" + std::to_string(kw) +
+                 " s=" + std::to_string(sh) + "," + std::to_string(sw) +
+                 " p=" + std::to_string(ph) + "," + std::to_string(pw));
+    const std::int64_t oh = (h + 2 * ph - kh) / sh + 1;
+    const std::int64_t ow = (w + 2 * pw - kw) / sw + 1;
+    Tensor cols = Tensor::randn(Shape{c * kh * kw, n * oh * ow}, rng);
+    Tensor batched = col2im_batched(cols, n, c, h, w, kh, kw, sh, sw, ph, pw);
+    for (std::int64_t i = 0; i < n; ++i) {
+      // Slice sample i's columns back out and run the per-sample adjoint.
+      Tensor per_cols(Shape{c * kh * kw, oh * ow});
+      for (std::int64_t r = 0; r < per_cols.dim(0); ++r) {
+        for (std::int64_t p = 0; p < oh * ow; ++p) {
+          per_cols.at(r, p) = cols.at(r, i * oh * ow + p);
         }
       }
+      expect_bitwise(select0(batched, i),
+                     col2im(per_cols, c, h, w, kh, kw, sh, sw, ph, pw));
     }
   }
-  return out;
 }
 
+// The 3-D scatter loop as it was written before the in-bounds tap ranges
+// were hoisted: a bounds test per element. col2vol_batched must reproduce
+// it bit for bit (same elements, same add order).
 Tensor branchy_col2vol_batched(const Tensor& columns, std::int64_t n,
                                std::int64_t channels, std::int64_t depth,
                                std::int64_t height, std::int64_t width,
@@ -384,32 +372,6 @@ Tensor branchy_col2vol_batched(const Tensor& columns, std::int64_t n,
     }
   }
   return out;
-}
-
-void expect_bitwise(const Tensor& got, const Tensor& want) {
-  ASSERT_EQ(got.shape(), want.shape());
-  EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                        static_cast<std::size_t>(got.size()) * sizeof(float)),
-            0);
-}
-
-TEST(BatchedLowering, Col2imBatchedIsBitwiseBranchyScatter) {
-  Rng rng(50);
-  const std::int64_t n = 2, c = 2, h = 7, w = 6;
-  for (const int k : {3, 4}) {
-    for (const int s : {1, 2}) {
-      for (const int p : {0, 1, 2}) {
-        SCOPED_TRACE("k=" + std::to_string(k) + " s=" + std::to_string(s) +
-                     " p=" + std::to_string(p));
-        const std::int64_t oh = (h + 2 * p - k) / s + 1;
-        const std::int64_t ow = (w + 2 * p - k) / s + 1;
-        Tensor cols = Tensor::randn(Shape{c * k * k, n * oh * ow}, rng);
-        expect_bitwise(col2im_batched(cols, n, c, h, w, k, k, s, s, p, p),
-                       branchy_col2im_batched(cols, n, c, h, w, k, k, s, s, p,
-                                              p));
-      }
-    }
-  }
 }
 
 TEST(BatchedLowering, Col2volBatchedIsBitwiseBranchyScatter) {
