@@ -52,16 +52,6 @@ class Srcnn final : public SuperResolver {
     return loss_history_;
   }
 
-  /// Trained 9-1-5 stack (nullptr before fit) and the normalisation
-  /// statistics it was trained under — read by the int8 conversion
-  /// (SrcnnInt8), which mirrors the network layer by layer.
-  [[nodiscard]] const nn::Sequential* network() const {
-    return network_.get();
-  }
-  [[nodiscard]] double mean() const { return mean_; }
-  [[nodiscard]] double stddev() const { return stddev_; }
-  [[nodiscard]] const SrcnnConfig& config() const { return config_; }
-
  private:
   SrcnnConfig config_;
   // forward() mutates layer caches, so the network is mutable to keep the

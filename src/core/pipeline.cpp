@@ -103,7 +103,6 @@ void MtsrPipeline::ensure_serving() {
   serving::SessionConfig session = serving::SessionConfig::from_dataset(
       "zipnet", config_.instance, dataset_, config_.window,
       std::max<std::int64_t>(stride, 1));
-  session.layout = window_layout_.get();
   session_ = engine_->open_session(std::move(session));
 }
 

@@ -4,7 +4,6 @@
 
 #include "src/baselines/bicubic.hpp"
 #include "src/common/check.hpp"
-#include "src/common/workspace.hpp"
 #include "src/nn/replica.hpp"
 #include "src/tensor/tensor_ops.hpp"
 #include "src/nn/activations.hpp"
@@ -187,28 +186,16 @@ Tensor latest_coarse_frame(const Tensor& input) {
 void add_residual_base(Tensor& result, const Tensor& latest,
                        ZipNetConfig::ResidualBase mode, int factor) {
   if (mode == ZipNetConfig::ResidualBase::kNone) return;
+  // Accumulate each window's bicubic base straight into its prediction.
   const std::int64_t n = latest.dim(0);
-  if (mode == ZipNetConfig::ResidualBase::kNearest) {
-    // Upsample into arena scratch and fold it onto the result in place.
-    Workspace& ws = Workspace::tls();
-    Workspace::Scope scratch(ws);
-    float* up = ws.alloc(result.size());
-    upsample_nearest2d_into(latest.data(), n, latest.dim(1), latest.dim(2),
-                            factor, 1.f, up);
-    float* dst = result.data();
-    for (std::int64_t i = 0; i < result.size(); ++i) dst[i] += up[i];
-  } else {
-    // Accumulate each window's base straight into its prediction.
-    const std::int64_t h = latest.dim(1), w = latest.dim(2);
-    check(result.size() == n * h * factor * w * factor,
-          "add_residual_base: prediction/coarse frame size mismatch");
-    for (std::int64_t i = 0; i < n; ++i) {
-      baselines::bicubic_upsample_into(latest.data() + i * h * w, h, w,
-                                       factor,
-                                       result.data() + i * h * w * factor *
-                                                           factor,
-                                       /*accumulate=*/true);
-    }
+  const std::int64_t h = latest.dim(1), w = latest.dim(2);
+  const std::int64_t fine = h * factor * w * factor;
+  check(result.size() == n * fine,
+        "add_residual_base: prediction/coarse frame size mismatch");
+  for (std::int64_t i = 0; i < n; ++i) {
+    baselines::bicubic_upsample_into(latest.data() + i * h * w, h, w, factor,
+                                     result.data() + i * fine,
+                                     /*accumulate=*/true);
   }
 }
 
@@ -268,28 +255,18 @@ Tensor ZipNet::backward(const Tensor& grad_output) {
   Tensor grad_input = g5.reshape(cache.input_shape);
 
   if (config_.residual_base != ZipNetConfig::ResidualBase::kNone) {
-    // Route the residual path's gradient back to the latest coarse frame:
-    // nearest upsampling pools the factor² fine cells it spread over;
-    // bicubic uses its exact adjoint.
+    // Route the residual path's gradient back to the latest coarse frame
+    // through the bicubic upsampling's exact adjoint.
     const std::int64_t n = cache.input_shape.dim(0),
                        s = cache.input_shape.dim(1);
     const std::int64_t frame =
         cache.input_shape.dim(2) * cache.input_shape.dim(3);
-    Tensor pooled =
-        config_.residual_base == ZipNetConfig::ResidualBase::kNearest
-            ? sum_pool2d(grad_output, total_upscale())
-            : Tensor();
     for (std::int64_t i = 0; i < n; ++i) {
       float* dst = grad_input.data() + ((i * s) + (s - 1)) * frame;
-      if (config_.residual_base == ZipNetConfig::ResidualBase::kNearest) {
-        const float* src = pooled.data() + i * frame;
-        for (std::int64_t j = 0; j < frame; ++j) dst[j] += src[j];
-      } else {
-        Tensor coarse_grad = baselines::bicubic_upsample_adjoint(
-            select0(grad_output, i), total_upscale());
-        const float* src = coarse_grad.data();
-        for (std::int64_t j = 0; j < frame; ++j) dst[j] += src[j];
-      }
+      Tensor coarse_grad = baselines::bicubic_upsample_adjoint(
+          select0(grad_output, i), total_upscale());
+      const float* src = coarse_grad.data();
+      for (std::int64_t j = 0; j < frame; ++j) dst[j] += src[j];
     }
   }
   return grad_input;

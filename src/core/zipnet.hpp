@@ -52,14 +52,14 @@ struct ZipNetConfig {
   std::int64_t final_channels = 24;       ///< first final-block width; grows per layer
   float lrelu_alpha = 0.1f;               ///< Eq. 3 slope
   SkipMode skip_mode = SkipMode::kZipper;
-  /// CPU-scale training aid (DESIGN.md §7): adds an upsampling of the most
-  /// recent coarse frame to the network output, so the stack learns the
+  /// CPU-scale training aid (DESIGN.md §7): adds a bicubic upsampling of the
+  /// most recent coarse frame to the network output, so the stack learns the
   /// *correction* to an interpolation baseline rather than the full
   /// mapping. Cuts convergence from GPU-days to CPU-seconds; kNone gives
   /// the paper-exact architecture. Only valid when the coarse input is
   /// spatially aligned with the output (the pipeline selects kNone for the
   /// mixture instance, whose input square is a distorted projection).
-  enum class ResidualBase { kNone, kNearest, kBicubic };
+  enum class ResidualBase { kNone, kBicubic };
   ResidualBase residual_base = ResidualBase::kBicubic;
 };
 
@@ -130,8 +130,8 @@ class ZipNet final : public nn::Layer {
 [[nodiscard]] Tensor latest_coarse_frame(const Tensor& input);
 
 /// Adds the residual interpolation base in place: `latest` (N, ci, ci)
-/// upsampled by `factor` (nearest or bicubic per `mode`) onto `result`
-/// (N, ci·factor, ci·factor). kNone is a no-op.
+/// bicubic-upsampled by `factor` onto `result` (N, ci·factor, ci·factor).
+/// kNone is a no-op.
 void add_residual_base(Tensor& result, const Tensor& latest,
                        ZipNetConfig::ResidualBase mode, int factor);
 

@@ -15,6 +15,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "src/common/check.hpp"
 #include "src/data/probes.hpp"
 
 namespace mtsr::net {
@@ -299,12 +300,18 @@ void Server::handle_push(Connection& conn, PushRequest req) {
     resp.status = Status::kError;
     resp.error = "unknown session (or owned by another connection)";
   } else {
-    const auto& scfg = engine_.session(req.session).config();
-    if (req.frame.rank() != 2 || req.frame.dim(0) != scfg.rows ||
-        req.frame.dim(1) != scfg.cols) {
+    // Refuse a frame the engine would refuse (wrong shape, non-finite
+    // values) here, per request: admitted into a dispatch round it would
+    // fail push_all for every co-batched client.
+    serving::Session* session = &engine_.session(req.session);
+    const Tensor* frame = &req.frame;
+    try {
+      serving::Scheduler::check_request({&session, 1}, {&frame, 1});
+    } catch (const ContractViolation& e) {
       resp.status = Status::kError;
-      resp.error = "frame shape does not match the session geometry";
-    } else {
+      resp.error = e.what();
+    }
+    if (resp.status != Status::kError) {
       PendingPush pending;
       pending.connection = conn.id;
       pending.session = req.session;

@@ -128,34 +128,4 @@ void Sigmoid::prepare_replica_slots(int count) {
 
 std::string Sigmoid::name() const { return "Sigmoid"; }
 
-Tensor Tanh::forward(const Tensor& input, bool /*training*/) {
-  Tensor out = input;
-  for (float* p = out.data(); p != out.data() + out.size(); ++p) {
-    *p = std::tanh(*p);
-  }
-  cache_slot(output_, "Tanh: replica slot not prepared") = out;
-  return out;
-}
-
-Tensor Tanh::backward(const Tensor& grad_output) {
-  const Tensor& cached = cache_slot(output_, "Tanh: replica slot not prepared");
-  check(!cached.empty(), "Tanh::backward called before forward");
-  check(grad_output.shape() == cached.shape(),
-        "Tanh::backward grad shape mismatch");
-  Tensor grad = grad_output;
-  float* g = grad.data();
-  const float* y = cached.data();
-  for (std::int64_t i = 0; i < grad.size(); ++i) {
-    g[i] *= 1.f - y[i] * y[i];
-  }
-  return grad;
-}
-
-void Tanh::prepare_replica_slots(int count) {
-  Layer::prepare_replica_slots(count);
-  grow_slots(output_, count);
-}
-
-std::string Tanh::name() const { return "Tanh"; }
-
 }  // namespace mtsr::nn

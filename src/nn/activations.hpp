@@ -2,7 +2,7 @@
 //
 // The paper uses LeakyReLU (Eq. 3, alpha ~= 0.1) throughout both networks
 // and a sigmoid on the discriminator output to constrain it to (0, 1).
-// ReLU and Tanh are provided for the SRCNN baseline and experimentation.
+// ReLU serves the SRCNN baseline.
 //
 // Forward caches are per-replica-slot (slot 0 in direct mode) so concurrent
 // data-parallel train slices never share cached activations.
@@ -45,20 +45,6 @@ class ReLU final : public Layer {
 class Sigmoid final : public Layer {
  public:
   Sigmoid() = default;
-
-  Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
-  void prepare_replica_slots(int count) override;
-  [[nodiscard]] std::string name() const override;
-
- private:
-  std::vector<Tensor> output_ = std::vector<Tensor>(1);
-};
-
-/// Hyperbolic tangent.
-class Tanh final : public Layer {
- public:
-  Tanh() = default;
 
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;

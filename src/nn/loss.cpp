@@ -24,8 +24,8 @@ double combine_partials(const std::vector<double>& partials) {
 
 SliceLossResult mse_loss_slice(const Tensor& prediction, const Tensor& target,
                                std::int64_t total_elements) {
-  check(prediction.shape() == target.shape(), "mse_loss shape mismatch");
-  check(prediction.size() > 0, "mse_loss on empty tensors");
+  check(prediction.shape() == target.shape(), "mse_loss_slice shape mismatch");
+  check(prediction.size() > 0, "mse_loss_slice on empty tensors");
   check(total_elements >= prediction.size(),
         "mse_loss_slice: total smaller than slice");
   const std::int64_t n = prediction.size();
@@ -51,20 +51,13 @@ SliceLossResult mse_loss_slice(const Tensor& prediction, const Tensor& target,
   return {combine_partials(partials), std::move(grad)};
 }
 
-LossResult mse_loss(const Tensor& prediction, const Tensor& target) {
-  SliceLossResult slice =
-      mse_loss_slice(prediction, target, prediction.size());
-  return {slice.sum / static_cast<double>(prediction.size()),
-          std::move(slice.grad)};
-}
-
 SliceLossResult bce_loss_slice(const Tensor& probability, float label,
                                std::int64_t total_rows, float eps) {
   check(probability.rank() == 2 && probability.dim(1) == 1,
-        "bce_loss expects (N, 1) probabilities");
-  check(label == 0.f || label == 1.f, "bce_loss label must be 0 or 1");
+        "bce_loss_slice expects (N, 1) probabilities");
+  check(label == 0.f || label == 1.f, "bce_loss_slice label must be 0 or 1");
   const std::int64_t n = probability.dim(0);
-  check(n > 0, "bce_loss on empty batch");
+  check(n > 0, "bce_loss_slice on empty batch");
   check(total_rows >= n, "bce_loss_slice: total smaller than slice");
   Tensor grad(probability.shape());
   const float* p = probability.data();
@@ -90,12 +83,6 @@ SliceLossResult bce_loss_slice(const Tensor& probability, float label,
         parts[slot] = acc;
       });
   return {combine_partials(partials), std::move(grad)};
-}
-
-LossResult bce_loss(const Tensor& probability, float label, float eps) {
-  const std::int64_t n = probability.dim(0);
-  SliceLossResult slice = bce_loss_slice(probability, label, n, eps);
-  return {slice.sum / static_cast<double>(n), std::move(slice.grad)};
 }
 
 Tensor per_sample_sq_error(const Tensor& prediction, const Tensor& target) {

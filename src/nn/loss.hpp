@@ -5,15 +5,12 @@
 // * Binary cross-entropy — the discriminator objective (Eq. 5 is its
 //   maximisation form; we minimise the negated value).
 //
-// Each function returns the scalar loss and writes the gradient with
-// respect to the prediction, averaged over the batch, so callers feed it
-// straight into Layer::backward().
-//
-// The _slice variants support data-parallel training: a micro-slice of a
-// batch contributes an UNNORMALISED loss sum plus a gradient already scaled
-// by the FULL batch denominator, so per-slice backward passes accumulate
+// Both are sliced for data-parallel training: a micro-slice of a batch
+// contributes an UNNORMALISED loss sum plus a gradient already scaled by
+// the FULL batch denominator, so per-slice backward passes accumulate
 // exactly the whole-batch gradient and the caller finishes the scalar loss
-// as sum-of-slice-sums (in ascending slice order) / full denominator.
+// as sum-of-slice-sums (in ascending slice order) / full denominator. A
+// whole batch is the one-slice case: pass its own count as the total.
 #pragma once
 
 #include <utility>
@@ -21,12 +18,6 @@
 #include "src/tensor/tensor.hpp"
 
 namespace mtsr::nn {
-
-/// Scalar loss plus gradient w.r.t. the prediction tensor.
-struct LossResult {
-  double value;
-  Tensor grad;
-};
 
 /// Slice contribution to a batch loss: `sum` is the unnormalised loss sum
 /// over the slice; `grad` is d(full-batch loss)/d(slice prediction), i.e.
@@ -36,26 +27,18 @@ struct SliceLossResult {
   Tensor grad;
 };
 
-/// Mean squared error over all elements: L = mean((pred - target)²).
-[[nodiscard]] LossResult mse_loss(const Tensor& prediction,
-                                  const Tensor& target);
-
-/// MSE slice term: sum((pred - target)²) over this slice, with the gradient
-/// scaled by 2 / total_elements (the FULL batch element count). Passing
-/// total_elements == prediction.size() reproduces mse_loss bit-for-bit.
+/// Mean squared error L = mean((pred - target)²), slice term:
+/// sum((pred - target)²) over this slice, with the gradient scaled by
+/// 2 / total_elements (the FULL batch element count).
 [[nodiscard]] SliceLossResult mse_loss_slice(const Tensor& prediction,
                                              const Tensor& target,
                                              std::int64_t total_elements);
 
 /// Binary cross-entropy for (N, 1) probability outputs against scalar
-/// labels in {0, 1}: L = -mean(y·log p + (1-y)·log(1-p)). Probabilities are
-/// clamped to [eps, 1-eps] for numerical stability.
-[[nodiscard]] LossResult bce_loss(const Tensor& probability, float label,
-                                  float eps = 1e-6f);
-
-/// BCE slice term: unnormalised -log-likelihood sum over this slice's rows,
-/// gradient scaled by 1 / total_rows (the FULL batch row count). Passing
-/// total_rows == probability.dim(0) reproduces bce_loss bit-for-bit.
+/// labels in {0, 1}, L = -mean(y·log p + (1-y)·log(1-p)), slice term: the
+/// unnormalised -log-likelihood sum over this slice's rows, gradient scaled
+/// by 1 / total_rows (the FULL batch row count). Probabilities are clamped
+/// to [eps, 1-eps] for numerical stability.
 [[nodiscard]] SliceLossResult bce_loss_slice(const Tensor& probability,
                                              float label,
                                              std::int64_t total_rows,

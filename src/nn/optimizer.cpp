@@ -14,15 +14,27 @@ constexpr std::int64_t kStepGrain = 4096;
 
 }  // namespace
 
-Optimizer::Optimizer(std::vector<Parameter*> params, float lr)
-    : params_(std::move(params)), lr_(lr) {
-  check(lr > 0.f, "Optimizer requires positive learning rate");
+Adam::Adam(std::vector<Parameter*> params, float lr, float beta1, float beta2,
+           float epsilon)
+    : params_(std::move(params)),
+      lr_(lr),
+      beta1_(beta1),
+      beta2_(beta2),
+      epsilon_(epsilon) {
+  check(lr > 0.f, "Adam requires positive learning rate");
+  check(beta1 >= 0.f && beta1 < 1.f, "Adam beta1 must be in [0,1)");
+  check(beta2 >= 0.f && beta2 < 1.f, "Adam beta2 must be in [0,1)");
+  check(epsilon > 0.f, "Adam epsilon must be positive");
+  m_.reserve(params_.size());
+  v_.reserve(params_.size());
   for (Parameter* p : params_) {
-    check(p != nullptr, "Optimizer received a null parameter");
+    check(p != nullptr, "Adam received a null parameter");
+    m_.emplace_back(Tensor::zeros(p->value.shape()));
+    v_.emplace_back(Tensor::zeros(p->value.shape()));
   }
 }
 
-void Optimizer::zero_grad() {
+void Adam::zero_grad() {
   for (Parameter* p : params_) {
     float* g = p->grad.data();
     parallel_for_grain(p->grad.size(), kStepGrain,
@@ -34,69 +46,9 @@ void Optimizer::zero_grad() {
   }
 }
 
-void Optimizer::set_learning_rate(float lr) {
+void Adam::set_learning_rate(float lr) {
   check(lr > 0.f, "set_learning_rate requires positive learning rate");
   lr_ = lr;
-}
-
-Sgd::Sgd(std::vector<Parameter*> params, float lr, float momentum)
-    : Optimizer(std::move(params), lr), momentum_(momentum) {
-  check(momentum >= 0.f && momentum < 1.f, "Sgd momentum must be in [0,1)");
-  velocity_.reserve(params_.size());
-  for (Parameter* p : params_) {
-    velocity_.emplace_back(Tensor::zeros(p->value.shape()));
-  }
-}
-
-void Sgd::step() {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    Parameter& p = *params_[i];
-    const float* g = p.grad.data();
-    float* w = p.value.data();
-    const std::int64_t n = p.value.size();
-    if (momentum_ > 0.f) {
-      float* vel = velocity_[i].data();
-      const float momentum = momentum_;
-      const float lr = lr_;
-      parallel_for_grain(
-          n, kStepGrain,
-          [g, w, vel, momentum, lr](std::int64_t begin, std::int64_t end,
-                                    int) {
-            // Two separate statements (scale, then add) keep the rounding
-            // of the historic mul_scalar_ + add_ tensor-op sequence.
-            for (std::int64_t j = begin; j < end; ++j) {
-              vel[j] *= momentum;
-              vel[j] += g[j];
-              w[j] += -lr * vel[j];
-            }
-          });
-    } else {
-      const float lr = lr_;
-      parallel_for_grain(n, kStepGrain,
-                         [g, w, lr](std::int64_t begin, std::int64_t end, int) {
-                           for (std::int64_t j = begin; j < end; ++j) {
-                             w[j] += -lr * g[j];
-                           }
-                         });
-    }
-  }
-}
-
-Adam::Adam(std::vector<Parameter*> params, float lr, float beta1, float beta2,
-           float epsilon)
-    : Optimizer(std::move(params), lr),
-      beta1_(beta1),
-      beta2_(beta2),
-      epsilon_(epsilon) {
-  check(beta1 >= 0.f && beta1 < 1.f, "Adam beta1 must be in [0,1)");
-  check(beta2 >= 0.f && beta2 < 1.f, "Adam beta2 must be in [0,1)");
-  check(epsilon > 0.f, "Adam epsilon must be positive");
-  m_.reserve(params_.size());
-  v_.reserve(params_.size());
-  for (Parameter* p : params_) {
-    m_.emplace_back(Tensor::zeros(p->value.shape()));
-    v_.emplace_back(Tensor::zeros(p->value.shape()));
-  }
 }
 
 void Adam::step() {

@@ -1,7 +1,7 @@
-// Optimizers: SGD and Adam.
+// The Adam optimizer.
 //
 // The paper trains all models with Adam (Kingma & Ba) at learning rate 1e-4
-// (Section 3.4); SGD is provided for comparison and tests.
+// (Section 3.4).
 #pragma once
 
 #include <vector>
@@ -10,17 +10,19 @@
 
 namespace mtsr::nn {
 
-/// Interface: step() applies the accumulated gradients to the registered
-/// parameters, then the caller zeroes gradients for the next batch.
-class Optimizer {
+/// Adam optimizer (Kingma & Ba, ICLR'15) with bias correction. step()
+/// applies the accumulated gradients to the registered parameters, then the
+/// caller zeroes gradients for the next batch.
+class Adam final {
  public:
-  virtual ~Optimizer() = default;
+  Adam(std::vector<Parameter*> params, float lr, float beta1 = 0.9f,
+       float beta2 = 0.999f, float epsilon = 1e-8f);
 
-  Optimizer(const Optimizer&) = delete;
-  Optimizer& operator=(const Optimizer&) = delete;
+  Adam(const Adam&) = delete;
+  Adam& operator=(const Adam&) = delete;
 
   /// Applies one update using each parameter's accumulated gradient.
-  virtual void step() = 0;
+  void step();
 
   /// Zeroes all registered gradient accumulators.
   void zero_grad();
@@ -30,37 +32,12 @@ class Optimizer {
   /// Changes the learning rate (e.g. for decay schedules).
   void set_learning_rate(float lr);
 
- protected:
-  Optimizer(std::vector<Parameter*> params, float lr);
-
-  std::vector<Parameter*> params_;
-  float lr_;
-};
-
-/// Plain stochastic gradient descent with optional momentum.
-class Sgd final : public Optimizer {
- public:
-  Sgd(std::vector<Parameter*> params, float lr, float momentum = 0.f);
-
-  void step() override;
-
- private:
-  float momentum_;
-  std::vector<Tensor> velocity_;
-};
-
-/// Adam optimizer (Kingma & Ba, ICLR'15) with bias correction.
-class Adam final : public Optimizer {
- public:
-  Adam(std::vector<Parameter*> params, float lr, float beta1 = 0.9f,
-       float beta2 = 0.999f, float epsilon = 1e-8f);
-
-  void step() override;
-
   /// Number of steps taken so far (used by bias correction).
   [[nodiscard]] std::int64_t steps() const { return t_; }
 
  private:
+  std::vector<Parameter*> params_;
+  float lr_;
   float beta1_;
   float beta2_;
   float epsilon_;

@@ -1,4 +1,4 @@
-// Pooling layers.
+// Global average pooling.
 //
 // GlobalAvgPool reduces (N, C, H, W) to (N, C) so the discriminator head can
 // accept any spatial size — needed because the four MTSR instances present
@@ -20,22 +20,6 @@ class GlobalAvgPool final : public Layer {
   [[nodiscard]] std::string name() const override;
 
  private:
-  std::vector<Shape> input_shape_ = std::vector<Shape>(1);  // per slot
-};
-
-/// Non-overlapping average pooling of the last two axes by an integer
-/// factor; both spatial dims must be divisible by the factor.
-class AvgPool2d final : public Layer {
- public:
-  explicit AvgPool2d(int factor);
-
-  Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
-  void prepare_replica_slots(int count) override;
-  [[nodiscard]] std::string name() const override;
-
- private:
-  int factor_;
   std::vector<Shape> input_shape_ = std::vector<Shape>(1);  // per slot
 };
 

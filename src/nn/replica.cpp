@@ -88,7 +88,9 @@ void run_replicated(int slices, int replicas,
   check(slices >= 1 && slices <= kMaxReplicaSlots,
         "run_replicated: slice count out of range");
   check(replicas >= 1, "run_replicated: replicas must be >= 1");
-  const int workers = std::min(replicas, slices);
+  // Workers must not be re-topologised out from under in-flight tasks.
+  detail::PoolTopologyPin pin;
+  const int workers = std::min({replicas, slices, num_shards()});
 
   if (workers == 1) {
     for (int s = 0; s < slices; ++s) run_slice(s, body);
@@ -98,9 +100,6 @@ void run_replicated(int slices, int replicas,
     return;
   }
 
-  // Workers must not be re-topologised out from under in-flight tasks.
-  detail::PoolTopologyPin pin;
-  const int shards = num_shards();
   std::vector<WorkerOutcome> outcomes(static_cast<std::size_t>(workers));
   std::vector<std::future<void>> futures;
   futures.reserve(static_cast<std::size_t>(workers));
@@ -110,8 +109,7 @@ void run_replicated(int slices, int replicas,
     const std::int64_t end =
         static_cast<std::int64_t>(slices) * (w + 1) / workers;
     WorkerOutcome& outcome = outcomes[static_cast<std::size_t>(w)];
-    futures.push_back(run_on_shard(w % shards, [&body, &outcome, begin, end,
-                                                w]() {
+    futures.push_back(run_on_shard(w, [&body, &outcome, begin, end, w]() {
       try {
         for (std::int64_t s = begin; s < end; ++s) {
           run_slice(static_cast<int>(s), body);

@@ -72,7 +72,8 @@ struct SliceRange {
                                            int slice);
 
 /// Resolves a trainer's `replicas` config field to a worker count (>= 1):
-///   * configured >= 1 -> that many replica workers.
+///   * configured >= 1 -> that many replica workers (run_replicated caps
+///     the count it actually starts at num_shards()).
 ///   * configured == 0 -> auto: MTSR_TRAIN_REPLICAS if set (>= 1), else one
 ///     replica per pool shard (minimum 1). The sliced step is bit-identical
 ///     for any worker count, so auto-trained parameters stay independent
@@ -92,11 +93,13 @@ struct ReplicaArenaStats {
 /// Runs `body(slice)` for every slice in [0, slices), each under
 /// SlotGuard(slice) + a Workspace::Scope on the executing thread.
 ///
-/// With one (effective) worker the slices run inline on the calling thread
-/// in ascending order; otherwise worker w is a run_on_shard task on shard
-/// w % num_shards() processing the contiguous slice range
-/// [w*slices/W, (w+1)*slices/W) in ascending order. `replicas` is capped to
-/// `slices`. The mapping affects scheduling only — never results (see file
+/// The worker count W is `replicas` capped to `slices` and to num_shards():
+/// each shard's runner executes one task at a time, so a second worker on
+/// a shard would only queue behind the first and add a hand-off. With one
+/// worker the slices run inline on the calling thread in ascending order;
+/// otherwise worker w is a run_on_shard task on shard w processing the
+/// contiguous slice range [w*slices/W, (w+1)*slices/W) in ascending order.
+/// The mapping affects scheduling only — never results (see file
 /// comment). Blocks until every slice finished; rethrows the first slice
 /// exception after all workers joined. When `arena_stats` is non-null it is
 /// resized to the worker count and filled with each worker's thread-local

@@ -28,12 +28,14 @@
 // kernels are too small to pay for a pool fan-out, and serving latency is
 // untouched. The fine-tune step is GanTrainer's sliced step with
 // `config.trainer.replicas` workers; the default of 1 runs the slices
-// inline, so the pool never sees the fine-tune. Budgets >= 2 (or 0, auto)
-// enqueue slice forwards/backwards on the shard runner queues via
-// run_on_shard, interleaving with dispatch rounds in queue order —
-// training then shares the shards, bounded by queue fairness;
-// bench_online records the p99 impact. Fine-tuned weights are
-// bit-identical for every budget and every pool size.
+// inline, so the pool never sees the fine-tune. Larger budgets (or 0,
+// auto) start at most one worker per pool shard: on a one-shard pool they
+// run inline like the default; on a sharded pool the workers enqueue slice
+// forwards/backwards on the shard runner queues via run_on_shard,
+// interleaving with dispatch rounds in queue order — training then shares
+// the shards, bounded by queue fairness; bench_online records the p99
+// impact. Fine-tuned weights are bit-identical for every budget and every
+// pool size.
 //
 // Threading contract: start()/stop() and run_rounds() are caller-thread
 // operations and must not overlap each other; while the background thread

@@ -11,8 +11,6 @@ namespace mtsr::serving {
 
 Engine::Engine() : pool_baseline_(pool_shard_stats()) {}
 
-void Engine::set_shards(int n) { set_num_shards(n); }
-
 void Engine::register_model(const std::string& name,
                             std::shared_ptr<Model> model) {
   check(!name.empty(), "Engine::register_model: empty name");
@@ -98,7 +96,7 @@ Engine::SessionId Engine::open_session(SessionConfig config) {
         "Engine: unknown model \"" + config.model + "\"");
   const SessionId id = next_id_++;
   sessions_[id] = std::make_unique<Session>(it->second, std::move(config),
-                                            &scheduler_);
+                                            scheduler_);
   return id;
 }
 
@@ -127,9 +125,11 @@ std::string Engine::stream_key(SessionId id, const Session& s) const {
 }
 
 std::optional<Tensor> Engine::push(SessionId id, const Tensor& fine_snapshot) {
-  Session& s = session(id);
-  if (frame_sink_) frame_sink_(stream_key(id, s), fine_snapshot);
-  return s.push(fine_snapshot);
+  Session* s = &session(id);
+  const Tensor* frame = &fine_snapshot;
+  Scheduler::check_request({&s, 1}, {&frame, 1});
+  if (frame_sink_) frame_sink_(stream_key(id, *s), fine_snapshot);
+  return s->push(fine_snapshot);
 }
 
 std::vector<std::optional<Tensor>> Engine::push_all(
@@ -143,6 +143,7 @@ std::vector<std::optional<Tensor>> Engine::push_all(
     sessions.push_back(&session(ids[i]));
     ptrs.push_back(&frames[i]);
   }
+  Scheduler::check_request(sessions, ptrs);
   if (frame_sink_) {
     // One publication per distinct stream per round: fan-out consumers of
     // one tagged feed carry byte-identical frames, so only the first
@@ -168,6 +169,7 @@ std::vector<std::optional<Tensor>> Engine::push_fused(
     sessions.push_back(&session(id));
     ptrs.push_back(&fine_snapshot);
   }
+  Scheduler::check_request(sessions, ptrs);
   // push_fused is BY DEFINITION one feed delivered to every session, so
   // the round publishes its snapshot once, under the first session's key.
   if (frame_sink_ && !ids.empty()) {

@@ -163,14 +163,13 @@ class Engine {
   std::vector<std::optional<Tensor>> push_fused(
       const std::vector<SessionId>& ids, const Tensor& fine_snapshot);
 
-  /// Adjusts the scheduler's fused-pass window cap (SchedulerConfig).
-  void set_fuse_cap(std::int64_t cap) { scheduler_.set_fuse_cap(cap); }
-
   // ---- Continuous-learning hooks -------------------------------------------
 
   /// A frame publication hook on the serving path: called once per distinct
   /// stream per dispatch round, BEFORE the round is scheduled, with the
-  /// stream's key and the raw fine snapshot being pushed. The key is the
+  /// stream's key and the raw fine snapshot being pushed. Only a call whose
+  /// every frame passes Scheduler::check_request publishes; a rejected call
+  /// publishes nothing. The key is the
   /// session's stream tag when set; untagged sessions publish under
   /// "session-<id>". Fan-out consumers of one tagged feed (and push_fused
   /// rounds) publish their shared frame once. The sink runs on the serving
@@ -189,14 +188,6 @@ class Engine {
   void set_online_stats_source(std::function<OnlineTrainerStats()> source) {
     online_stats_ = std::move(source);
   }
-
-  /// Reshards the pool (forwarding mtsr::set_num_shards): sessions opened
-  /// afterwards spread across `n` worker groups, each serving its sessions
-  /// on its own runner thread against shard-local memory. Throws while any
-  /// session is open (shard assignment is fixed at open time) or from a
-  /// parallel region; n < 1 restores the default (MTSR_SHARDS or the NUMA
-  /// node count).
-  void set_shards(int n);
 
   // ---- Telemetry -----------------------------------------------------------
 

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstring>
 
-#include "src/baselines/srcnn_int8.hpp"
 #include "src/baselines/super_resolver.hpp"
 #include "src/common/check.hpp"
 #include "src/common/rng.hpp"
@@ -191,16 +190,6 @@ std::vector<Tensor> calibration_batches(const data::TrafficDataset& dataset,
     batches.push_back(stack0(inputs));
   }
   return batches;
-}
-
-std::shared_ptr<BaselineModel> quantize_srcnn(
-    const baselines::Srcnn& srcnn, const std::vector<Tensor>& calibration,
-    const data::ProbeLayout& layout) {
-  // Conversion runs float resolves through the mirror; scope the arena so
-  // the calibration high-water mark is reclaimed (see quantize_generator).
-  Workspace::Scope scope(Workspace::tls());
-  return std::make_shared<BaselineModel>(
-      baselines::SrcnnInt8::convert(srcnn, calibration, layout));
 }
 
 BaselineModel::BaselineModel(const baselines::SuperResolver& resolver)

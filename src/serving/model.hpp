@@ -29,7 +29,6 @@ class ZipNetInt8;
 }
 namespace mtsr::baselines {
 class SuperResolver;
-class Srcnn;
 }
 
 namespace mtsr::serving {
@@ -245,15 +244,5 @@ class BaselineModel final : public Model {
   std::unique_ptr<baselines::SuperResolver> owned_;
   const baselines::SuperResolver* resolver_;
 };
-
-/// One-shot int8 conversion of a fitted SRCNN baseline into a serving
-/// model: mirrors the 9-1-5 stack as quantised convs (SrcnnInt8),
-/// calibrates activation scales over `calibration` (raw fine frames under
-/// `layout` — the same inputs fit() saw), freezes, and wraps the result as
-/// an owning BaselineModel. Registers as "srcnn-int8" beside the float
-/// "SRCNN"; sessions switch between them by name.
-[[nodiscard]] std::shared_ptr<BaselineModel> quantize_srcnn(
-    const baselines::Srcnn& srcnn, const std::vector<Tensor>& calibration,
-    const data::ProbeLayout& layout);
 
 }  // namespace mtsr::serving

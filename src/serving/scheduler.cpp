@@ -41,8 +41,6 @@ struct Scheduler::Request {
   std::int64_t row = 0;          ///< first row of this block in its pass
 };
 
-Scheduler::Scheduler(SchedulerConfig config) : config_(config) {}
-
 std::string Scheduler::block_key(const Session& session, std::uint64_t
                                  generation, std::uint64_t signature,
                                  std::int64_t b0, std::int64_t b1) {
@@ -143,16 +141,10 @@ void Scheduler::release_stream(const std::string& prefix, int shard_index) {
   drop_stream_entries(sh, prefix);
 }
 
-std::vector<std::optional<Tensor>> Scheduler::serve(
-    std::span<Session* const> sessions,
-    std::span<const Tensor* const> frames) {
+void Scheduler::check_request(std::span<Session* const> sessions,
+                              std::span<const Tensor* const> frames) {
   check(sessions.size() == frames.size(),
         "Scheduler::serve: one frame per session");
-  std::vector<std::optional<Tensor>> outputs(sessions.size());
-
-  // ---- Admission (caller thread: pre-fan-out, serial) ----------------------
-  std::vector<Active> acts;
-  acts.reserve(sessions.size());
   for (std::size_t i = 0; i < sessions.size(); ++i) {
     check(sessions[i] != nullptr && frames[i] != nullptr,
           "Scheduler::serve: null session or frame");
@@ -160,6 +152,28 @@ std::vector<std::optional<Tensor>> Scheduler::serve(
       check(sessions[i] != sessions[j],
             "Scheduler::serve: duplicate session in one call");
     }
+    const Tensor& frame = *frames[i];
+    const SessionConfig& config = sessions[i]->config_;
+    check(frame.rank() == 2 && frame.dim(0) == config.rows &&
+              frame.dim(1) == config.cols,
+          "Session::push: wrong snapshot shape");
+    // A fan-out call hands every session the same frame: scan it once.
+    if (i == 0 || frames[i] != frames[i - 1]) {
+      check(frame.all_finite(), "Session::push: non-finite snapshot value");
+    }
+  }
+}
+
+std::vector<std::optional<Tensor>> Scheduler::serve(
+    std::span<Session* const> sessions,
+    std::span<const Tensor* const> frames) {
+  check_request(sessions, frames);
+  std::vector<std::optional<Tensor>> outputs(sessions.size());
+
+  // ---- Admission (caller thread: pre-fan-out, serial) ----------------------
+  std::vector<Active> acts;
+  acts.reserve(sessions.size());
+  for (std::size_t i = 0; i < sessions.size(); ++i) {
     Session& s = *sessions[i];
     s.admit(*frames[i]);
     if (!s.warm()) continue;
@@ -401,16 +415,15 @@ void Scheduler::serve_shard(int shard_index, Shard& sh,
     // -- Fuse: group compatible blocks, split by the window cap. ------------
     // Compatibility = same resolved model instance, same temporal/window
     // geometry and the same normalisation currency — everything a shared
-    // predict() call fixes for all of its rows. The layout only matters to
-    // models that re-derive aggregates from fine crops (fine_latest), so
-    // only those keys pin the layout identity.
+    // predict() call fixes for all of its rows. (instance, window) fixes
+    // the probe layout.
     std::vector<std::vector<std::size_t>> groups;
     std::unordered_map<std::string, std::size_t> group_index;
     for (const std::size_t i : compute) {
       const Request& q = reqs[i];
       const Session& s = *q.act->session;
       char buf[192];
-      std::snprintf(buf, sizeof(buf), "%p|%lld|%lld|%lld|%d|%c%c|%a,%a,%c|%p",
+      std::snprintf(buf, sizeof(buf), "%p|%lld|%lld|%lld|%d|%c%c|%a,%a,%c",
                     static_cast<const void*>(q.model.model.get()),
                     static_cast<long long>(s.s_),
                     static_cast<long long>(s.layout_->input_side()),
@@ -420,10 +433,7 @@ void Scheduler::serve_shard(int shard_index, Shard& sh,
                     s.needs_.fine_latest ? 'f' : '-',
                     static_cast<double>(s.config_.stats.mean),
                     static_cast<double>(s.config_.stats.stddev),
-                    s.config_.log_transform ? 'L' : '-',
-                    s.needs_.fine_latest
-                        ? static_cast<const void*>(s.layout_)
-                        : nullptr);
+                    s.config_.log_transform ? 'L' : '-');
       const auto [it, inserted] = group_index.emplace(buf, groups.size());
       if (inserted) groups.emplace_back();
       groups[it->second].push_back(i);
@@ -438,8 +448,7 @@ void Scheduler::serve_shard(int shard_index, Shard& sh,
       PassPlan current;
       for (const std::size_t i : group) {
         const std::int64_t n = reqs[i].b1 - reqs[i].b0;
-        if (!current.members.empty() && config_.fuse_cap > 0 &&
-            current.windows + n > config_.fuse_cap) {
+        if (!current.members.empty() && current.windows + n > kFuseCap) {
           passes.push_back(std::move(current));
           current = PassPlan{};
         }

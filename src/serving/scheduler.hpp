@@ -13,7 +13,7 @@
 //    stitch plan in lockstep dispatch rounds. Within a round, the block
 //    requests of model-compatible sessions (same resolved model, same
 //    window/temporal geometry, same normalisation) concatenate into shared
-//    generator passes, capped at `fuse_cap` windows per pass so the fused
+//    generator passes, capped at kFuseCap windows per pass so the fused
 //    lowering matrices stay cache-resident, and the results scatter back
 //    into each session's moving-average accumulators in place.
 //  * DEDUP — sessions opened with the same SessionConfig::stream tag are
@@ -33,7 +33,8 @@
 // Numerics contract (the bit-identity boundary):
 //  * a session served alone — every Engine::push — follows exactly the
 //    pre-scheduler block sequence under its own arenas: bit-identical to
-//    the unscheduled path at every pool size, overlap on or off;
+//    the unscheduled path at every pool size, whether or not the shard's
+//    stage thread overlaps gathers and scatters with the model;
 //  * dedup'd consumers scatter the same memoised rows: bitwise-equal
 //    frames by construction;
 //  * int8 models fuse bit-identically (exact s32 accumulation makes the
@@ -75,15 +76,6 @@
 
 namespace mtsr::serving {
 
-struct SchedulerConfig {
-  /// Maximum windows per fused generator pass; <= 0 removes the cap. The
-  /// default keeps a fused pass inside the measured per-window sweet spot
-  /// of gateway-class cores (the lowered column matrices of a window-20
-  /// block stop being cache-resident past ~4 windows); multi-socket hosts
-  /// serving wide pools raise it so one pass can feed every worker.
-  std::int64_t fuse_cap = 4;
-};
-
 /// Dispatch telemetry, cumulative since construction. A production
 /// deployment alarms on queue depth and dedup hit rate the same way it
 /// alarms on arena growth.
@@ -111,7 +103,7 @@ struct SchedulerShardStats {
 };
 
 /// The admission-and-dispatch layer. One scheduler serves all sessions of
-/// an engine; a standalone Session lazily owns a private one.
+/// an engine.
 class Scheduler {
  public:
   /// Windows per stitch block, for every session: two windows per block
@@ -121,9 +113,15 @@ class Scheduler {
   /// chunking inside each (possibly fused) pass, not from the block.
   static constexpr std::int64_t kFixedBlock = 2;
 
+  /// Maximum windows per fused generator pass: keeps a fused pass inside
+  /// the measured per-window sweet spot of gateway-class cores (the
+  /// lowered column matrices of a window-20 block stop being
+  /// cache-resident past ~4 windows).
+  static constexpr std::int64_t kFuseCap = 4;
+
   /// Per-shard state (stage threads included) is created lazily as shards
   /// first serve.
-  explicit Scheduler(SchedulerConfig config = {});
+  Scheduler() = default;
   ~Scheduler();
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
@@ -132,17 +130,23 @@ class Scheduler {
   /// sessions) and serves every resulting inference, fusing compatible
   /// blocks across the warm sessions. Returns one entry per session:
   /// the stitched full-grid inference, or nullopt while warming up.
-  /// Outputs land in input order regardless of fusion.
+  /// Outputs land in input order regardless of fusion. All-or-nothing
+  /// admission: the whole call is validated (check_request) before any
+  /// session takes its frame, so a bad frame leaves every session as it
+  /// was.
   [[nodiscard]] std::vector<std::optional<Tensor>> serve(
       std::span<Session* const> sessions, std::span<const Tensor* const> frames);
+
+  /// Throws unless serve(sessions, frames) may admit: one frame per
+  /// session, no null or repeated session, and every frame a finite
+  /// rows × cols snapshot of its session's grid. Touches no session.
+  static void check_request(std::span<Session* const> sessions,
+                            std::span<const Tensor* const> frames);
 
   /// Aggregate counters across every shard.
   [[nodiscard]] SchedulerStats stats() const;
   /// Per-shard counters (index == shard id), for shards that have served.
   [[nodiscard]] std::vector<SchedulerShardStats> shard_stats() const;
-  [[nodiscard]] const SchedulerConfig& config() const { return config_; }
-  /// Adjusts the fused-pass window cap (takes effect next serve()).
-  void set_fuse_cap(std::int64_t cap) { config_.fuse_cap = cap; }
 
   /// Stream memo lifetime: each dedup-enabled session holds one reference
   /// on its stream prefix (in its assigned shard's memo); when the last
@@ -196,7 +200,6 @@ class Scheduler {
                                              std::uint64_t signature,
                                              std::int64_t b0, std::int64_t b1);
 
-  SchedulerConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 

@@ -48,7 +48,7 @@ SessionConfig SessionConfig::from_dataset(std::string model,
 }
 
 Session::Session(std::shared_ptr<ModelSlot> slot, SessionConfig config,
-                 Scheduler* scheduler)
+                 Scheduler& scheduler)
     : slot_(std::move(slot)), config_(std::move(config)),
       scheduler_(scheduler) {
   check(slot_ != nullptr, "Session: null model slot");
@@ -58,16 +58,7 @@ Session::Session(std::shared_ptr<ModelSlot> slot, SessionConfig config,
         "Session: window must fit the grid");
   check(config_.stats.stddev > 0.0, "Session: bad normalisation stats");
 
-  if (config_.layout != nullptr) {
-    layout_ = config_.layout;
-  } else {
-    owned_layout_ =
-        data::make_layout(config_.instance, config_.window, config_.window);
-    layout_ = owned_layout_.get();
-  }
-  check(layout_->rows() == config_.window &&
-            layout_->cols() == config_.window,
-        "Session: layout geometry must match the window");
+  layout_ = data::make_layout(config_.instance, config_.window, config_.window);
 
   stride_ = config_.stitch_stride > 0 ? config_.stitch_stride
                                       : config_.window / 2;
@@ -77,7 +68,7 @@ Session::Session(std::shared_ptr<ModelSlot> slot, SessionConfig config,
   s_ = model->temporal_length();
   check(s_ >= 1, "Session: model temporal length must be >= 1");
   needs_ = model->inputs();
-  stream_ = StreamContext{layout_, config_.window, s_, config_.stats,
+  stream_ = StreamContext{layout_.get(), config_.window, s_, config_.stats,
                           config_.log_transform};
   model->validate(stream_);
 
@@ -88,14 +79,11 @@ Session::Session(std::shared_ptr<ModelSlot> slot, SessionConfig config,
     // Everything that shapes a block's prediction besides the frame bytes
     // and the model generation: two sessions whose prefixes match and whose
     // frame-hash chains match gather byte-identical batches under the same
-    // stitch plan, so their block predictions are interchangeable. A
-    // borrowed layout override is pinned by identity — it may aggregate
-    // differently than make_layout(instance, window, window) would, and
-    // the frame hash only sees bytes from BEFORE the aggregation; owned
-    // layouts are derived from (instance, window) already in the prefix.
+    // stitch plan, so their block predictions are interchangeable. The
+    // probe layout is derived from (instance, window), both in the prefix.
     char buf[256];
     std::snprintf(buf, sizeof(buf),
-                  "|%lldx%lld|w%lld|t%lld|i%d|S%lld|%c%c|%a,%a%c|L%p",
+                  "|%lldx%lld|w%lld|t%lld|i%d|S%lld|%c%c|%a,%a%c",
                   static_cast<long long>(config_.rows),
                   static_cast<long long>(config_.cols),
                   static_cast<long long>(config_.window),
@@ -106,8 +94,7 @@ Session::Session(std::shared_ptr<ModelSlot> slot, SessionConfig config,
                   needs_.fine_latest ? 'f' : '-',
                   static_cast<double>(config_.stats.mean),
                   static_cast<double>(config_.stats.stddev),
-                  config_.log_transform ? 'L' : '-',
-                  static_cast<const void*>(config_.layout));
+                  config_.log_transform ? 'L' : '-');
     dedup_prefix_ = config_.stream + buf;
   }
 
@@ -127,22 +114,16 @@ Session::Session(std::shared_ptr<ModelSlot> slot, SessionConfig config,
                               static_cast<std::uint64_t>(shards));
   }
 
-  if (scheduler_ != nullptr && !dedup_prefix_.empty()) {
-    scheduler_->retain_stream(dedup_prefix_, shard_);
-    stream_registered_ = true;
-  }
+  if (!dedup_prefix_.empty()) scheduler_.retain_stream(dedup_prefix_, shard_);
 }
-
-Session::Session(std::shared_ptr<Model> model, SessionConfig config,
-                 Scheduler* scheduler)
-    : Session(std::make_shared<ModelSlot>(std::move(model)),
-              std::move(config), scheduler) {}
 
 Session::~Session() {
   // Drop this consumer's claim on its stream memo: when the last session
   // of a stream tag closes, the scheduler frees that stream's memoised
   // predictions instead of holding them for the engine's lifetime.
-  if (stream_registered_) scheduler_->release_stream(dedup_prefix_, shard_);
+  if (!dedup_prefix_.empty()) {
+    scheduler_.release_stream(dedup_prefix_, shard_);
+  }
 }
 
 void Session::reset() {
@@ -198,9 +179,6 @@ Tensor Session::coarsen_windows(const Tensor& normalized) const {
 }
 
 void Session::admit(const Tensor& fine_snapshot) {
-  check(fine_snapshot.rank() == 2 && fine_snapshot.dim(0) == config_.rows &&
-            fine_snapshot.dim(1) == config_.cols,
-        "Session::push: wrong snapshot shape");
   FrameEntry entry;
   if (needs_.coarse_history) {
     if (dedup_prefix_.empty()) {
@@ -282,22 +260,10 @@ void Session::gather_block(std::int64_t b0, std::int64_t b1, int slot) {
   }
 }
 
-Scheduler& Session::ensure_scheduler() {
-  if (scheduler_ == nullptr) {
-    owned_scheduler_ = std::make_unique<Scheduler>();
-    scheduler_ = owned_scheduler_.get();
-    if (!dedup_prefix_.empty()) {
-      scheduler_->retain_stream(dedup_prefix_, shard_);
-      stream_registered_ = true;
-    }
-  }
-  return *scheduler_;
-}
-
 std::optional<Tensor> Session::push(const Tensor& fine_snapshot) {
   Session* self = this;
   const Tensor* frame = &fine_snapshot;
-  return std::move(ensure_scheduler().serve({&self, 1}, {&frame, 1})[0]);
+  return std::move(scheduler_.serve({&self, 1}, {&frame, 1})[0]);
 }
 
 }  // namespace mtsr::serving

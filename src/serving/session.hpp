@@ -66,11 +66,6 @@ struct SessionConfig {
   /// per-push frame hashing that feeds it.
   std::string stream;
 
-  /// Window-local probe layout override. When null the session builds
-  /// make_layout(instance, window, window) and owns it; a non-null layout
-  /// is borrowed and must outlive the session.
-  const data::ProbeLayout* layout = nullptr;
-
   /// Pulls grid geometry and normalisation from a dataset.
   [[nodiscard]] static SessionConfig from_dataset(
       std::string model, data::MtsrInstance instance,
@@ -84,14 +79,10 @@ class Session {
  public:
   /// `scheduler` dispatches this session's stitch blocks (the engine
   /// passes its shared scheduler, which fuses blocks across every session
-  /// it serves). A standalone session (null) lazily creates a private
-  /// scheduler of its own.
-  explicit Session(std::shared_ptr<ModelSlot> slot, SessionConfig config,
-                   Scheduler* scheduler = nullptr);
-  /// Convenience for standalone use: wraps `model` in a fresh (never
-  /// hot-reloaded) slot.
-  explicit Session(std::shared_ptr<Model> model, SessionConfig config,
-                   Scheduler* scheduler = nullptr);
+  /// it serves) and must outlive the session. The probe layout is
+  /// make_layout(instance, window, window).
+  Session(std::shared_ptr<ModelSlot> slot, SessionConfig config,
+          Scheduler& scheduler);
   ~Session();
 
   Session(const Session&) = delete;
@@ -152,8 +143,9 @@ class Session {
   };
 
   // ---- Scheduler-facing stepwise contract ----------------------------------
-  /// Absorbs one snapshot into the rolling history (and the dedup hash
-  /// chain when the session is stream-tagged). Stream-tagged coarse-history
+  /// Absorbs one snapshot (already validated by Scheduler::check_request)
+  /// into the rolling history (and the dedup hash chain when the session is
+  /// stream-tagged). Stream-tagged coarse-history
   /// sessions short-circuit ALL per-frame pre-aggregation — normalisation
   /// included, not just the per-window coarsening: a fan-out consumer whose
   /// blocks the stream memo serves never gathers, so any admit-time work
@@ -181,12 +173,10 @@ class Session {
   [[nodiscard]] Tensor normalize(const Tensor& raw) const;
   [[nodiscard]] Tensor denormalize(const Tensor& normalized) const;
   [[nodiscard]] Tensor coarsen_windows(const Tensor& normalized) const;
-  [[nodiscard]] Scheduler& ensure_scheduler();
 
   std::shared_ptr<ModelSlot> slot_;
   SessionConfig config_;
-  std::unique_ptr<data::ProbeLayout> owned_layout_;
-  const data::ProbeLayout* layout_ = nullptr;
+  std::unique_ptr<data::ProbeLayout> layout_;
   StreamContext stream_;
   data::StitchPlan plan_;
   ModelInputs needs_;
@@ -195,7 +185,6 @@ class Session {
   std::int64_t inferences_ = 0;
   std::int64_t coarsen_skips_ = 0;  ///< deferred coarsenings never needed
   std::string dedup_prefix_;  ///< stream + geometry key prefix; empty = off
-  bool stream_registered_ = false;  ///< holds a scheduler stream refcount
   int shard_ = 0;  ///< pool shard assignment (stable for the session's life)
   /// While the session is open, set_num_threads / set_num_shards /
   /// set_affinity_policy throw — the shard assignment above and the arenas
@@ -212,8 +201,7 @@ class Session {
     WindowBatch batch;
   };
   Slot slots_[2];
-  Scheduler* scheduler_ = nullptr;  ///< shared (engine) or owned_scheduler_
-  std::unique_ptr<Scheduler> owned_scheduler_;  ///< standalone fallback
+  Scheduler& scheduler_;
 };
 
 }  // namespace mtsr::serving

@@ -1796,21 +1796,17 @@ Tensor crop2d(const Tensor& input, std::int64_t r0, std::int64_t c0,
   return out;
 }
 
-namespace {
-
-Tensor pool2d(const Tensor& input, int factor, bool average) {
-  check(factor > 0, "pool2d requires factor > 0");
-  const Flat3 f = flatten_spatial(input.shape(),
-                                  average ? "avg_pool2d" : "sum_pool2d");
+Tensor avg_pool2d(const Tensor& input, int factor) {
+  check(factor > 0, "avg_pool2d requires factor > 0");
+  const Flat3 f = flatten_spatial(input.shape(), "avg_pool2d");
   check(f.rows % factor == 0 && f.cols % factor == 0,
-        "pool2d spatial dims must be divisible by factor");
+        "avg_pool2d spatial dims must be divisible by factor");
   const std::int64_t orows = f.rows / factor;
   const std::int64_t ocols = f.cols / factor;
   Tensor out(with_spatial(input.shape(), orows, ocols));
   const float* pi = input.data();
   float* po = out.data();
-  const float scale = average ? 1.f / (static_cast<float>(factor) * factor)
-                              : 1.f;
+  const float scale = 1.f / (static_cast<float>(factor) * factor);
   parallel_for(f.batch, [&](std::int64_t b) {
     for (std::int64_t r = 0; r < orows; ++r) {
       for (std::int64_t c = 0; c < ocols; ++c) {
@@ -1827,38 +1823,23 @@ Tensor pool2d(const Tensor& input, int factor, bool average) {
   return out;
 }
 
-}  // namespace
-
-Tensor avg_pool2d(const Tensor& input, int factor) {
-  return pool2d(input, factor, /*average=*/true);
-}
-
-Tensor sum_pool2d(const Tensor& input, int factor) {
-  return pool2d(input, factor, /*average=*/false);
-}
-
-void upsample_nearest2d_into(const float* pi, std::int64_t batch,
-                             std::int64_t rows, std::int64_t cols, int factor,
-                             float scale, float* po) {
-  const std::int64_t orows = rows * factor;
-  const std::int64_t ocols = cols * factor;
-  parallel_for(batch, [&](std::int64_t b) {
-    for (std::int64_t r = 0; r < orows; ++r) {
-      const float* irow = pi + (b * rows + r / factor) * cols;
-      float* orow = po + (b * orows + r) * ocols;
-      for (std::int64_t c = 0; c < ocols; ++c) {
-        orow[c] = irow[c / factor] * scale;
-      }
-    }
-  });
-}
-
 Tensor upsample_nearest2d(const Tensor& input, int factor) {
   check(factor > 0, "upsample_nearest2d requires factor > 0");
   const Flat3 f = flatten_spatial(input.shape(), "upsample_nearest2d");
-  Tensor out(with_spatial(input.shape(), f.rows * factor, f.cols * factor));
-  upsample_nearest2d_into(input.data(), f.batch, f.rows, f.cols, factor, 1.f,
-                          out.data());
+  const std::int64_t orows = f.rows * factor;
+  const std::int64_t ocols = f.cols * factor;
+  Tensor out(with_spatial(input.shape(), orows, ocols));
+  const float* pi = input.data();
+  float* po = out.data();
+  parallel_for(f.batch, [&](std::int64_t b) {
+    for (std::int64_t r = 0; r < orows; ++r) {
+      const float* irow = pi + (b * f.rows + r / factor) * f.cols;
+      float* orow = po + (b * orows + r) * ocols;
+      for (std::int64_t c = 0; c < ocols; ++c) {
+        orow[c] = irow[c / factor];
+      }
+    }
+  });
   return out;
 }
 

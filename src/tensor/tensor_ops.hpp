@@ -340,18 +340,8 @@ void accumulate_channel_sums(const Tensor& batch, Tensor& sums);
 /// window. Both spatial dims must be divisible by factor.
 [[nodiscard]] Tensor avg_pool2d(const Tensor& input, int factor);
 
-/// Sum-pools the last two axes with a non-overlapping factor×factor window.
-[[nodiscard]] Tensor sum_pool2d(const Tensor& input, int factor);
-
 /// Nearest-neighbour upsampling of the last two axes by an integer factor.
 [[nodiscard]] Tensor upsample_nearest2d(const Tensor& input, int factor);
-
-/// Destination-passing nearest-neighbour upsample over raw (batch, rows,
-/// cols) data, with every output element scaled by `scale` — the fused form
-/// of AvgPool2d's backward (upsample then divide by factor²).
-void upsample_nearest2d_into(const float* input, std::int64_t batch,
-                             std::int64_t rows, std::int64_t cols, int factor,
-                             float scale, float* out);
 
 /// Concatenates rank-N tensors along axis 0. All other dims must match.
 [[nodiscard]] Tensor concat0(const std::vector<Tensor>& parts);

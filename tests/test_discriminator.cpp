@@ -42,7 +42,7 @@ TEST(Discriminator, BackwardReturnsInputShapedGradient) {
   Discriminator d(tiny_config(), rng);
   Tensor input = Tensor::randn(Shape{3, 12, 12}, rng);
   Tensor probs = d.forward(input, true);
-  auto [loss, grad] = nn::bce_loss(probs, 1.f);
+  const Tensor grad = nn::bce_loss_slice(probs, 1.f, probs.dim(0)).grad;
   Tensor grad_input = d.backward(grad);
   EXPECT_EQ(grad_input.shape(), input.shape());
   EXPECT_TRUE(grad_input.all_finite());
@@ -70,11 +70,9 @@ TEST(Discriminator, TrainingSeparatesEasyClasses) {
   for (int step = 0; step < 200; ++step) {
     optimizer.zero_grad();
     Tensor p_real = d.forward(make_real(8), true);
-    auto real_loss = nn::bce_loss(p_real, 1.f);
-    d.backward(real_loss.grad);
+    d.backward(nn::bce_loss_slice(p_real, 1.f, p_real.dim(0)).grad);
     Tensor p_fake = d.forward(make_fake(8), true);
-    auto fake_loss = nn::bce_loss(p_fake, 0.f);
-    d.backward(fake_loss.grad);
+    d.backward(nn::bce_loss_slice(p_fake, 0.f, p_fake.dim(0)).grad);
     optimizer.step();
   }
   // Score in training mode (batch statistics): with single-class batches,

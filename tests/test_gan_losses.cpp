@@ -105,8 +105,10 @@ TEST(GanLossMath, Eq5DiscriminatorObjectiveViaBce) {
   // the equivalent BCE pair. Verify the correspondence numerically.
   Tensor p_real(Shape{2, 1}, {0.8f, 0.6f});
   Tensor p_fake(Shape{2, 1}, {0.3f, 0.1f});
-  const double bce =
-      nn::bce_loss(p_real, 1.f).value + nn::bce_loss(p_fake, 0.f).value;
+  // Each batch is one whole slice: its mean is the slice sum over 2 rows.
+  const double bce = (nn::bce_loss_slice(p_real, 1.f, 2).sum +
+                      nn::bce_loss_slice(p_fake, 0.f, 2).sum) /
+                     2.0;
   const double eq5 = (std::log(0.8) + std::log(0.6)) / 2.0 +
                      (std::log(0.7) + std::log(0.9)) / 2.0;
   EXPECT_NEAR(bce, -eq5, 1e-5);

@@ -3,8 +3,9 @@
 // contract, the bounded admission queue's one-push-per-session rounds,
 // and the TCP server end to end over loopback — bitwise parity between
 // wire-served and in-process inference, explicit backpressure when the
-// admission queue floods, slow-client write-buffer eviction, and error
-// responses that leave the connection usable.
+// admission queue floods, slow-client write-buffer eviction, error
+// responses that leave the connection usable, and per-request refusal of
+// non-finite frames that keeps co-batched clients serving.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -13,6 +14,8 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <limits>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -552,6 +555,78 @@ TEST(Server, ErrorResponsesLeaveTheConnectionUsable) {
   }
   server.stop();
   loop.join();
+}
+
+TEST(Server, NonFinitePushIsRefusedWithoutFailingTheRound) {
+  PoolGuard guard;
+  ServedEngine served;
+  Server server(served.engine, ServerConfig{});
+  server.set_auto_drain(false);  // both clients' pushes land in one poll
+  // The server shares this thread: step its loop while a client blocks.
+  auto stepped = [&server](auto&& call) {
+    std::thread step([&server] {
+      for (int k = 0; k < 150; ++k) server.poll_once(2);
+    });
+    auto result = call();
+    step.join();
+    return result;
+  };
+
+  Client good("127.0.0.1", server.port());
+  Client bad("127.0.0.1", server.port());
+  const auto good_open = stepped(
+      [&] { return good.open(open_request_for(served.dataset, "zipnet")); });
+  const auto bad_open = stepped(
+      [&] { return bad.open(open_request_for(served.dataset, "zipnet")); });
+  ASSERT_EQ(good_open.status, Status::kOk);
+  ASSERT_EQ(bad_open.status, Status::kOk);
+
+  Tensor poisoned = served.dataset.frame(2);
+  poisoned.flat(9) = std::numeric_limits<float>::quiet_NaN();
+  std::optional<Tensor> wire;
+  for (int t = 0; t < 3; ++t) {
+    good.send_push(good_open.session, served.dataset.frame(t));
+    bad.send_push(bad_open.session,
+                  t == 2 ? poisoned : served.dataset.frame(t));
+    for (int k = 0; k < 200 && server.front_door_stats().pushes < 2 * (t + 1);
+         ++k) {
+      server.poll_once(5);
+    }
+    ASSERT_EQ(server.front_door_stats().pushes, 2 * (t + 1));
+    server.drain();
+    const auto bad_resp = stepped([&] { return bad.poll_push(2000); });
+    const auto good_resp = stepped([&] { return good.poll_push(2000); });
+    ASSERT_TRUE(bad_resp.has_value());
+    ASSERT_TRUE(good_resp.has_value());
+    if (t < 2) {
+      EXPECT_EQ(bad_resp->status, Status::kWarmup);
+      EXPECT_EQ(good_resp->status, Status::kWarmup);
+      continue;
+    }
+    EXPECT_EQ(bad_resp->status, Status::kError);
+    EXPECT_NE(bad_resp->error.find("finite"), std::string::npos)
+        << bad_resp->error;
+    ASSERT_EQ(good_resp->status, Status::kOk) << good_resp->error;
+    wire = good_resp->frame;
+  }
+  EXPECT_EQ(server.front_door_stats().errors, 1);
+  EXPECT_EQ(served.engine.session(bad_open.session).frames_until_ready(), 1);
+  ASSERT_TRUE(wire.has_value());
+
+  // The refused frame never reached the engine, so the good client's
+  // round ran alone: bitwise equal to a lone in-process session.
+  serving::Engine control;
+  control.register_model(
+      "zipnet",
+      std::make_shared<serving::ZipNetModel>(served.pipeline.generator()));
+  const auto id = control.open_session(serving::SessionConfig::from_dataset(
+      "zipnet", data::MtsrInstance::kUp4, served.dataset, 8, 4));
+  std::optional<Tensor> expected;
+  for (int t = 0; t < 3; ++t) {
+    expected = control.push(id, served.dataset.frame(t));
+  }
+  ASSERT_TRUE(expected.has_value());
+  expect_bitwise(*wire, *expected, "co-batched client vs in-process");
 }
 
 TEST(Server, GarbageFramesCutTheConnection) {

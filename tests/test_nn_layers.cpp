@@ -9,7 +9,6 @@
 #include "src/nn/batchnorm.hpp"
 #include "src/nn/conv2d.hpp"
 #include "src/nn/conv3d.hpp"
-#include "src/nn/conv_transpose2d.hpp"
 #include "src/nn/conv_transpose3d.hpp"
 #include "src/nn/dense.hpp"
 #include "src/nn/pooling.hpp"
@@ -93,32 +92,6 @@ TEST(Conv3d, AgreesWithConv2dWhenDepthKernelIsOne) {
   for (std::int64_t i = 0; i < out2.size(); ++i) {
     EXPECT_NEAR(out2.flat(i), out3.flat(i), 1e-5);
   }
-}
-
-TEST(ConvTranspose2d, UpscalesByStrideFactor) {
-  Rng rng(27);
-  ConvTranspose2d deconv(1, 1, 4, 2, 1, rng);
-  Tensor out = deconv.forward(Tensor::zeros(Shape{1, 1, 5, 5}), true);
-  EXPECT_EQ(out.shape(), Shape({1, 1, 10, 10}));
-  EXPECT_EQ(deconv.out_extent(5), 10);
-}
-
-TEST(ConvTranspose2d, ConstantKernelSpreadsMass) {
-  Rng rng(28);
-  ConvTranspose2d deconv(1, 1, 2, 2, 0, rng);
-  deconv.parameters()[0]->value.fill(1.f);
-  deconv.parameters()[1]->value.fill(0.f);
-  Tensor input(Shape{1, 1, 2, 2}, {1.f, 2.f, 3.f, 4.f});
-  Tensor out = deconv.forward(input, true);
-  ASSERT_EQ(out.shape(), Shape({1, 1, 4, 4}));
-  // Each input pixel expands into a disjoint 2x2 block of its own value.
-  EXPECT_FLOAT_EQ(out.at(0, 0, 0, 0), 1.f);
-  EXPECT_FLOAT_EQ(out.at(0, 0, 1, 1), 1.f);
-  EXPECT_FLOAT_EQ(out.at(0, 0, 0, 2), 2.f);
-  EXPECT_FLOAT_EQ(out.at(0, 0, 3, 3), 4.f);
-  // Each input pixel contributes its value to kernel-volume output cells,
-  // so total mass scales by the kernel sum (4 for an all-ones 2x2 kernel).
-  EXPECT_NEAR(out.sum(), 4.0 * input.sum(), 1e-5);
 }
 
 TEST(ConvTranspose3d, ZipNetUpscaleGeometry) {

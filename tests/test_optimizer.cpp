@@ -1,4 +1,4 @@
-// Tests for SGD and Adam: update math, convergence on a quadratic, and
+// Tests for Adam: update math, convergence on a quadratic, and
 // learning-rate plumbing.
 #include <gtest/gtest.h>
 
@@ -9,24 +9,6 @@
 
 namespace mtsr::nn {
 namespace {
-
-TEST(Sgd, SingleStepIsGradientDescent) {
-  Parameter p("w", Tensor::full(Shape{2}, 1.f));
-  p.grad.fill(0.5f);
-  Sgd sgd({&p}, /*lr=*/0.1f);
-  sgd.step();
-  EXPECT_FLOAT_EQ(p.value.flat(0), 1.f - 0.1f * 0.5f);
-}
-
-TEST(Sgd, MomentumAccumulatesVelocity) {
-  Parameter p("w", Tensor::zeros(Shape{1}));
-  Sgd sgd({&p}, /*lr=*/1.f, /*momentum=*/0.5f);
-  p.grad.fill(1.f);
-  sgd.step();  // v = 1, w = -1
-  EXPECT_FLOAT_EQ(p.value.flat(0), -1.f);
-  sgd.step();  // v = 1.5, w = -2.5
-  EXPECT_FLOAT_EQ(p.value.flat(0), -2.5f);
-}
 
 TEST(Adam, FirstStepHasUnitScaleViaBiasCorrection) {
   // With bias correction, the first Adam step is ≈ lr * sign(grad).
@@ -71,8 +53,8 @@ TEST(Adam, HandlesMultipleParameters) {
 TEST(Optimizer, ZeroGradClearsAllParameters) {
   Parameter a("a", Tensor::zeros(Shape{2}));
   a.grad.fill(5.f);
-  Sgd sgd({&a}, 0.1f);
-  sgd.zero_grad();
+  Adam adam({&a}, 0.1f);
+  adam.zero_grad();
   EXPECT_EQ(a.grad.squared_norm(), 0.0);
 }
 
@@ -86,7 +68,7 @@ TEST(Optimizer, LearningRateIsMutable) {
 
 TEST(Optimizer, RejectsBadConstruction) {
   Parameter a("a", Tensor::zeros(Shape{1}));
-  EXPECT_THROW(Sgd({&a}, 0.f), ContractViolation);
+  EXPECT_THROW(Adam({&a}, 0.f), ContractViolation);
   EXPECT_THROW(Adam({&a}, 0.1f, 1.5f), ContractViolation);
 }
 

@@ -12,8 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "src/baselines/srcnn.hpp"
-#include "src/baselines/srcnn_int8.hpp"
 #include "src/common/check.hpp"
 #include "src/common/parallel.hpp"
 #include "src/common/workspace.hpp"
@@ -723,112 +721,9 @@ TEST(ServingInt8, SteadyStateZeroArenaGrowth) {
   EXPECT_EQ(stats.sessions[0].model, "zipnet-int8");
 }
 
-// ---- SrcnnInt8 -------------------------------------------------------------
-
-// A small SRCNN fitted on the dataset's training split.
-std::unique_ptr<baselines::Srcnn> fitted_srcnn(
-    const data::TrafficDataset& dataset, const data::ProbeLayout& layout) {
-  baselines::SrcnnConfig config;
-  config.channels1 = 8;
-  config.channels2 = 4;
-  config.window = 16;
-  config.epochs = 40;
-  config.crops_per_epoch = 32;
-  config.learning_rate = 1e-3f;
-  auto srcnn = std::make_unique<baselines::Srcnn>(config);
-  const data::SplitRange train = dataset.train_range();
-  std::vector<Tensor> frames;
-  for (std::int64_t t = train.begin; t < train.end; ++t) {
-    frames.push_back(dataset.frame(t));
-  }
-  srcnn->fit(frames, layout);
-  return srcnn;
-}
-
-TEST(SrcnnInt8, ConversionGuardsAndCalibrationParity) {
-  // Conversion requires a fitted float network.
-  baselines::Srcnn unfitted;
-  EXPECT_THROW(baselines::SrcnnInt8 bad(unfitted), ContractViolation);
-
-  data::TrafficDataset dataset = quant_dataset(434);
-  data::UniformProbeLayout layout(16, 16, 4);
-  auto srcnn = fitted_srcnn(dataset, layout);
-
-  baselines::SrcnnInt8 net(*srcnn);
-  EXPECT_EQ(net.name(), "srcnn-int8");
-  const Tensor frame = dataset.frame(dataset.test_range().begin);
-  // Inference-only: the float fit is the only fit.
-  EXPECT_THROW(net.fit({frame}, layout), ContractViolation);
-  // Not frozen yet.
-  EXPECT_THROW((void)net.super_resolve(frame, layout), ContractViolation);
-  EXPECT_THROW((void)baselines::SrcnnInt8::convert(*srcnn, {}, layout),
-               ContractViolation);
-
-  // The calibration resolve reproduces the float resolver (no BN to fold:
-  // only conv order-of-operations noise).
-  Tensor want = srcnn->super_resolve(frame, layout);
-  Tensor got = net.super_resolve_calibrate(frame, layout);
-  ASSERT_EQ(want.shape(), got.shape());
-  for (std::int64_t i = 0; i < want.size(); ++i) {
-    ASSERT_NEAR(want.flat(i), got.flat(i), 1e-3) << "at " << i;
-  }
-}
-
-TEST(SrcnnInt8, ServingNrmseWithinTwoPercentOfFloat) {
-  data::TrafficDataset dataset = quant_dataset(435);
-  data::UniformProbeLayout layout(16, 16, 4);
-  auto srcnn = fitted_srcnn(dataset, layout);
-
-  // Calibrate on window-geometry crops — exactly what serving sessions
-  // feed the resolver.
-  data::UniformProbeLayout window_layout(8, 8, 4);
-  const data::SplitRange train = dataset.train_range();
-  std::vector<Tensor> calibration;
-  for (std::int64_t t = train.begin;
-       t < std::min(train.begin + 6, train.end); ++t) {
-    calibration.push_back(crop2d(dataset.frame(t), 0, 0, 8, 8));
-    calibration.push_back(crop2d(dataset.frame(t), 8, 8, 8, 8));
-  }
-
-  serving::Engine engine;
-  engine.register_model("SRCNN",
-                        std::make_shared<serving::BaselineModel>(*srcnn));
-  engine.register_model(
-      "srcnn-int8",
-      serving::quantize_srcnn(*srcnn, calibration, window_layout));
-
-  serving::SessionConfig stream = serving::SessionConfig::from_dataset(
-      "SRCNN", data::MtsrInstance::kUp4, dataset, 8, 4);
-  const auto float_id = engine.open_session(stream);
-  stream.model = "srcnn-int8";
-  const auto int8_id = engine.open_session(stream);
-
-  const data::SplitRange test = dataset.test_range();
-  double nrmse_float = 0.0, nrmse_int8 = 0.0;
-  int frames = 0;
-  for (std::int64_t t = test.begin; t < std::min(test.begin + 4, test.end);
-       ++t) {
-    auto f = engine.push(float_id, dataset.frame(t));
-    auto q = engine.push(int8_id, dataset.frame(t));
-    ASSERT_EQ(f.has_value(), q.has_value());
-    if (!f) continue;
-    ASSERT_EQ(f->shape(), q->shape());
-    nrmse_float += metrics::nrmse(*f, dataset.frame(t));
-    nrmse_int8 += metrics::nrmse(*q, dataset.frame(t));
-    ++frames;
-  }
-  ASSERT_GT(frames, 0);
-  nrmse_float /= frames;
-  nrmse_int8 /= frames;
-  // Acceptance criterion: the registered "srcnn-int8" model serves within
-  // 2% relative of the float SRCNN baseline.
-  EXPECT_LE(std::fabs(nrmse_int8 - nrmse_float), 0.02 * nrmse_float)
-      << "float NRMSE " << nrmse_float << " vs int8 " << nrmse_int8;
-}
-
 // ---- pinned output digests -------------------------------------------------
 //
-// The int8 generator, the int8 SRCNN and the float generator must stay
+// The int8 generator and the float generator must stay
 // bitwise stable across refactors of the lowering, layout and epilogue
 // code (s32 accumulation is exact, so any such refactor can keep every
 // bit). The digests below were recorded from the NCHW implementation;
@@ -958,38 +853,6 @@ TEST(OutputDigest, ZipNetFloatAndInt8ArePinned) {
   EXPECT_EQ(int8_digest, expect[0]) << std::hex << int8_digest;
   EXPECT_EQ(float_digest, expect[1]) << std::hex << float_digest;
   EXPECT_EQ(calibrate_digest, expect[2]) << std::hex << calibrate_digest;
-}
-
-TEST(OutputDigest, SrcnnInt8IsPinned) {
-  // One digest for every float rounding family: the NCHW implementation
-  // gave it in each build and at each dispatch level the ZipNet digests
-  // above were recorded at.
-  PortableRng rng{2311};
-  std::vector<Tensor> frames;
-  for (int i = 0; i < 4; ++i) {
-    frames.push_back(rng.tensor(Shape{16, 16}, 0.f, 10.f));
-  }
-  data::UniformProbeLayout layout(16, 16, 4);
-  baselines::SrcnnConfig config;
-  config.channels1 = 8;
-  config.channels2 = 4;
-  config.window = 16;
-  config.epochs = 1;
-  config.crops_per_epoch = 8;
-  baselines::Srcnn srcnn(config);
-  srcnn.fit(frames, layout);
-  // The fit only sets the normalisation statistics (from the portable
-  // frames); the weights are then replaced by portable values.
-  auto* network = const_cast<nn::Sequential*>(srcnn.network());
-  fill_portable(network->parameters(), network->buffers(), rng);
-
-  auto net = baselines::SrcnnInt8::convert(srcnn, {frames[0], frames[1]},
-                                           layout);
-  std::uint64_t digest = 0;
-  for (const Tensor& frame : {frames[2], frames[3]}) {
-    digest = digest * 31 + fnv1a64(net->super_resolve(frame, layout));
-  }
-  EXPECT_EQ(digest, 0x6c5beb1a812fbaa0ull) << std::hex << digest;
 }
 
 }  // namespace

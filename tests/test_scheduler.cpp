@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -304,42 +305,53 @@ TEST(Scheduler, DedupIsContentGuarded) {
   EXPECT_EQ(stats.scheduler.dedup_hits, 0);
 }
 
-TEST(Scheduler, DedupPinsLayoutIdentity) {
-  // A borrowed SessionConfig::layout may aggregate differently than the
-  // default make_layout(instance, window, window), and the dedup frame
-  // hash only sees bytes from BEFORE the aggregation — so layout identity
-  // is part of the key: same tag + same geometry but different layout
-  // objects must never share predictions.
-  data::TrafficDataset dataset = small_dataset(522);
+TEST(Scheduler, RejectedPushAdmitsAndPublishesNothing) {
+  // A bad frame anywhere in a call rejects the whole call before any
+  // session takes its frame and before the frame sink publishes.
+  data::TrafficDataset dataset = small_dataset(523);
   core::MtsrPipeline pipeline(small_pipeline_config(), dataset);
   auto model = std::make_shared<ZipNetModel>(pipeline.generator());
-  auto layout_a = data::make_layout(data::MtsrInstance::kUp4, 8, 8);
-  auto layout_b = data::make_layout(data::MtsrInstance::kUp4, 8, 8);
 
   Engine engine;
   engine.register_model("zipnet", model);
-  SessionConfig config = stream_config(dataset, "zipnet", "city");
-  config.layout = layout_a.get();
-  const auto a = engine.open_session(config);
-  config.layout = layout_b.get();
-  const auto b = engine.open_session(config);
-  for (std::int64_t t = 0; t < 4; ++t) {
-    auto outs = engine.push_fused({a, b}, dataset.frame(t));
-    ASSERT_EQ(outs[0].has_value(), outs[1].has_value());
-    // Identical layout geometry still computes identical values — it is
-    // only the SHARING that identity-pinning disables.
-    if (outs[0]) expect_bitwise(*outs[0], *outs[1], "distinct layout objects");
-  }
-  EXPECT_EQ(engine.stats().scheduler.dedup_hits, 0);
+  std::int64_t published = 0;
+  engine.set_frame_sink(
+      [&published](const std::string&, const Tensor&) { ++published; });
+  const auto a = engine.open_session(stream_config(dataset));
+  const auto b = engine.open_session(stream_config(dataset));
 
-  // Sessions borrowing the SAME layout object share as usual.
-  config.layout = layout_a.get();
-  const auto c = engine.open_session(config);
-  const auto d = engine.open_session(config);
-  for (std::int64_t t = 0; t < 4; ++t) {
-    (void)engine.push_fused({c, d}, dataset.frame(t));
+  Engine control;
+  control.register_model("zipnet", model);
+  const auto c = control.open_session(stream_config(dataset));
+
+  for (std::int64_t t = 0; t < 2; ++t) {
+    (void)engine.push_all({a, b}, {dataset.frame(t), dataset.frame(t)});
+    (void)control.push(c, dataset.frame(t));
   }
-  EXPECT_GT(engine.stats().scheduler.dedup_hits, 0);
+  const std::int64_t before = published;
+
+  Tensor poisoned = dataset.frame(2);
+  poisoned.flat(17) = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_THROW((void)engine.push_all({a, b}, {dataset.frame(2), poisoned}),
+               ContractViolation);
+  EXPECT_THROW((void)engine.push_all({a, b},
+                                     {dataset.frame(2), Tensor(Shape{4, 4})}),
+               ContractViolation);
+  EXPECT_THROW((void)engine.push_fused({a, b}, poisoned), ContractViolation);
+  EXPECT_THROW((void)engine.push(a, poisoned), ContractViolation);
+  EXPECT_EQ(published, before);
+  EXPECT_EQ(engine.session(a).frames_until_ready(), 1);
+  EXPECT_EQ(engine.session(b).frames_until_ready(), 1);
+
+  // Neither session took a frame: a's outputs continue bitwise equal to a
+  // control session that never saw the rejected calls.
+  for (std::int64_t t = 2; t < 5; ++t) {
+    auto expected = control.push(c, dataset.frame(t));
+    auto got = engine.push(a, dataset.frame(t));
+    ASSERT_TRUE(expected.has_value());
+    ASSERT_TRUE(got.has_value());
+    expect_bitwise(*got, *expected, "session a after rejected calls");
+  }
 }
 
 TEST(Scheduler, ClosingTheLastConsumerFreesTheStreamMemo) {
@@ -565,54 +577,44 @@ TEST(Scheduler, ConcurrentReloadDropsNoBlocks) {
 
 TEST(Scheduler, FuseCapShapesThePasses) {
   PoolGuard guard;
-  // The cap-0 whole-round histogram counts every session in one pass,
-  // which holds exactly when they share a shard.
+  // Fusion only combines sessions of one shard.
   set_num_shards(1);
   data::TrafficDataset dataset = small_dataset(519);
   core::MtsrPipeline pipeline(small_pipeline_config(), dataset);
-  auto model = std::make_shared<ZipNetModel>(pipeline.generator());
-
-  auto histogram_for = [&](std::int64_t cap) {
-    Engine engine;
-    engine.register_model("zipnet", model);
-    engine.set_fuse_cap(cap);
-    std::vector<Engine::SessionId> ids;
-    for (int i = 0; i < 4; ++i) {
-      ids.push_back(engine.open_session(stream_config(dataset)));
-    }
-    for (std::int64_t t = 0; t < 3; ++t) {
-      std::vector<Tensor> frames;
-      for (int i = 0; i < 4; ++i) frames.push_back(dataset.frame(t + i));
-      (void)engine.push_all(ids, frames);
-    }
-    return engine.stats().scheduler;
-  };
-
-  // 9 windows per session in blocks of 2: rounds enqueue 4x2 windows, the
-  // last round 4x1. Cap 4 packs pairs of sessions; cap 0 fuses whole
-  // rounds; cap 1 degenerates to per-session passes.
-  const SchedulerStats cap4 = histogram_for(4);
-  for (std::size_t b = 5; b < cap4.fused_histogram.size(); ++b) {
-    EXPECT_EQ(cap4.fused_histogram[b], 0) << "cap 4 produced a pass of " << b;
+  Engine engine;
+  engine.register_model(
+      "zipnet", std::make_shared<ZipNetModel>(pipeline.generator()));
+  std::vector<Engine::SessionId> ids;
+  for (int i = 0; i < 4; ++i) {
+    ids.push_back(engine.open_session(stream_config(dataset)));
   }
-  EXPECT_GT(cap4.fused_passes, 0);
+  for (std::int64_t t = 0; t < 3; ++t) {
+    std::vector<Tensor> frames;
+    for (int i = 0; i < 4; ++i) frames.push_back(dataset.frame(t + i));
+    (void)engine.push_all(ids, frames);
+  }
+  const SchedulerStats stats = engine.stats().scheduler;
 
-  const SchedulerStats cap0 = histogram_for(0);
-  ASSERT_GT(cap0.fused_histogram.size(), 8u);
-  EXPECT_GT(cap0.fused_histogram[8], 0);  // whole rounds fuse to 4x2
-
-  const SchedulerStats cap1 = histogram_for(1);
-  EXPECT_EQ(cap1.fused_passes, 0);
+  // 9 windows per session in blocks of 2, one inference per session: the
+  // first four rounds enqueue 4x2 windows, the last 4x1. Scheduler::kFuseCap
+  // (4 windows) packs the 2-window rounds into pairs of sessions and the
+  // last round into one pass of all four.
+  static_assert(Scheduler::kFuseCap == 4);
+  ASSERT_EQ(stats.fused_histogram.size(), 5u);
+  EXPECT_EQ(stats.fused_histogram[4], 4 * 2 + 1);
+  for (std::size_t b = 0; b < 4; ++b) {
+    EXPECT_EQ(stats.fused_histogram[b], 0) << "pass of " << b << " windows";
+  }
+  EXPECT_EQ(stats.fused_passes, 4 * 2 + 1);
   // Telemetry invariants: the histogram decomposes the pass/window totals.
-  for (const SchedulerStats& s : {cap4, cap0, cap1}) {
-    std::int64_t passes = 0, windows = 0;
-    for (std::size_t b = 0; b < s.fused_histogram.size(); ++b) {
-      passes += s.fused_histogram[b];
-      windows += static_cast<std::int64_t>(b) * s.fused_histogram[b];
-    }
-    EXPECT_EQ(passes, s.passes);
-    EXPECT_EQ(windows, s.windows);
+  std::int64_t passes = 0, windows = 0;
+  for (std::size_t b = 0; b < stats.fused_histogram.size(); ++b) {
+    passes += stats.fused_histogram[b];
+    windows += static_cast<std::int64_t>(b) * stats.fused_histogram[b];
   }
+  EXPECT_EQ(passes, stats.passes);
+  EXPECT_EQ(windows, stats.windows);
+  EXPECT_EQ(stats.windows, 4 * 9);
 }
 
 TEST(Scheduler, TelemetryRendersInStatsTable) {
@@ -682,21 +684,6 @@ TEST(Scheduler, DedupSkipsAdmitCoarseningForMemoServedConsumers) {
       EXPECT_EQ(s.coarsen_skips, 5) << "session " << s.id;
     }
   }
-}
-
-TEST(Scheduler, StandaloneSessionServesWithoutAnEngine) {
-  data::TrafficDataset dataset = small_dataset(521);
-  core::MtsrPipeline pipeline(small_pipeline_config(), dataset);
-  Session session(std::make_shared<ZipNetModel>(pipeline.generator()),
-                  stream_config(dataset));
-  std::optional<Tensor> out;
-  for (std::int64_t t = 0; t < 4; ++t) {
-    out = session.push(dataset.frame(t));
-  }
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(out->shape(), dataset.frame(0).shape());
-  EXPECT_TRUE(out->all_finite());
-  EXPECT_EQ(session.inference_count(), 2);
 }
 
 }  // namespace

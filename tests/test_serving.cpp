@@ -290,7 +290,7 @@ TEST(Session, OpenSessionsHoldThePoolTopology) {
   // A session's shard assignment and arenas are sized against the pool at
   // open time, so reconfiguration must be rejected while any is open...
   EXPECT_THROW(set_num_threads(4), ContractViolation);
-  EXPECT_THROW(engine.set_shards(2), ContractViolation);
+  EXPECT_THROW(set_num_shards(2), ContractViolation);
   EXPECT_THROW(set_affinity_policy(AffinityPolicy::kCompact),
                ContractViolation);
   EXPECT_EQ(num_threads(), 2);
@@ -299,7 +299,7 @@ TEST(Session, OpenSessionsHoldThePoolTopology) {
   engine.close_session(id);
   set_num_threads(3);
   EXPECT_EQ(num_threads(), 3);
-  engine.set_shards(1);
+  set_num_shards(1);
 }
 
 TEST(Session, SteadyStateServingHasZeroArenaGrowth) {

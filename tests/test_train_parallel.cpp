@@ -1,12 +1,13 @@
 // Tests for the deterministic data-parallel training machinery: replicated
 // GAN/SRCNN train steps must be bit-identical across replica counts, pool
-// sizes and shard counts; replica worker arenas must reach a zero-growth
-// steady state; and the counter-derived RNG streams must be draw-order
-// independent.
+// sizes and shard counts; replica workers never outnumber the pool's
+// shards; replica worker arenas must reach a zero-growth steady state; and
+// the counter-derived RNG streams must be draw-order independent.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "src/baselines/srcnn.hpp"
@@ -187,8 +188,9 @@ TEST(TrainParallel, GradientsBitIdenticalAcrossReplicaCounts) {
 TEST(TrainParallel, ReplicaArenasReachZeroGrowthSteadyState) {
   PoolGuard guard;
   Fixture f;
+  // Replica workers never outnumber shards: two shards for two workers.
   set_num_threads(2);
-  set_num_shards(1);
+  set_num_shards(2);
   Rng rng(902);
   ZipNet g(f.generator_config(), rng);
   Discriminator d(f.discriminator_config(), rng);
@@ -201,7 +203,7 @@ TEST(TrainParallel, ReplicaArenasReachZeroGrowthSteadyState) {
   (void)trainer.pretrain(f.source, 2);
   (void)trainer.train(f.source, 2);
   const std::vector<nn::ReplicaArenaStats> warm = trainer.replica_arena_stats();
-  ASSERT_FALSE(warm.empty());
+  ASSERT_EQ(warm.size(), 2u);
 
   (void)trainer.train(f.source, 2);
   const std::vector<nn::ReplicaArenaStats> after = trainer.replica_arena_stats();
@@ -232,6 +234,35 @@ TEST(TrainParallel, ResolveTrainReplicas) {
   EXPECT_EQ(nn::resolve_train_replicas(0), 5);  // env beats topology
   EXPECT_EQ(nn::resolve_train_replicas(1), 1);  // config beats env
   ASSERT_EQ(unsetenv("MTSR_TRAIN_REPLICAS"), 0);
+}
+
+TEST(TrainParallel, ReplicaWorkersNeverOutnumberShards) {
+  PoolGuard guard;
+  set_num_threads(4);
+  set_num_shards(1);
+  // One shard runs one task at a time: a replica budget of 4 on it starts
+  // a single worker, the calling thread, which runs every slice in order.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(8);
+  std::vector<int> order;
+  std::vector<nn::ReplicaArenaStats> arenas;
+  nn::run_replicated(
+      8, 4,
+      [&](int s) {
+        ran_on[static_cast<std::size_t>(s)] = std::this_thread::get_id();
+        order.push_back(s);
+      },
+      &arenas);
+  for (std::size_t s = 0; s < ran_on.size(); ++s) {
+    EXPECT_EQ(ran_on[s], caller) << "slice " << s << " left the caller";
+  }
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(arenas.size(), 1u);
+
+  // Two shards: two workers, one per shard, whatever the budget.
+  set_num_shards(2);
+  nn::run_replicated(8, 4, [](int) {}, &arenas);
+  EXPECT_EQ(arenas.size(), 2u);
 }
 
 TEST(TrainParallel, RngStreamsAreDrawOrderIndependent) {

@@ -246,18 +246,6 @@ TEST(IntoOps, ChannelMajorIntoMatchesPure) {
   expect_close(back, back_want, 0.f);
 }
 
-TEST(IntoOps, UpsampleNearestIntoMatchesPureAndFusesScale) {
-  Rng rng(68);
-  Tensor x = Tensor::randn(Shape{2, 3, 4}, rng);
-  Tensor want = upsample_nearest2d(x, 3);
-  Tensor got(want.shape());
-  upsample_nearest2d_into(x.data(), 2, 3, 4, 3, 1.f, got.data());
-  expect_close(got, want, 0.f);
-  Tensor scaled(want.shape());
-  upsample_nearest2d_into(x.data(), 2, 3, 4, 3, 0.25f, scaled.data());
-  expect_close(scaled, want.mul_scalar(0.25f), 0.f);
-}
-
 // ---- Packed-B GEMM determinism ---------------------------------------------
 
 TEST(PackedBGemm, WideLoweringShapesMatchNaive) {
