@@ -169,13 +169,13 @@ class Engine {
   /// stream per dispatch round, BEFORE the round is scheduled, with the
   /// stream's key and the raw fine snapshot being pushed. Only a call whose
   /// every frame passes Scheduler::check_request publishes; a rejected call
-  /// publishes nothing. The key is the
-  /// session's stream tag when set; untagged sessions publish under
-  /// "session-<id>". Fan-out consumers of one tagged feed (and push_fused
-  /// rounds) publish their shared frame once. The sink runs on the serving
-  /// thread and must be cheap and non-blocking — online::Trainer installs
-  /// its FrameTap::publish here (a bounded drop-oldest copy). Install
-  /// before serving starts; not safe to change mid-stream.
+  /// publishes nothing. The key is the session's stream tag when set;
+  /// untagged sessions publish under "session-<id>". Fan-out consumers of
+  /// one tagged feed (and push_fused rounds) publish their shared frame
+  /// once. The sink runs on the serving thread and must be cheap and
+  /// non-blocking — online::Trainer installs its FrameTap::publish here (a
+  /// bounded drop-oldest copy). Install before serving starts; not safe to
+  /// change mid-stream.
   using FrameSink =
       std::function<void(const std::string& stream_key, const Tensor& frame)>;
   void set_frame_sink(FrameSink sink) { frame_sink_ = std::move(sink); }
